@@ -232,8 +232,9 @@ let () =
     Option.get !result
   in
   (* The client-side order cache counters, printed wherever server-side
-     numbers appear so both cache planes (client order cache, server
-     traversal memo) can be read side by side. *)
+     numbers appear.  The client order cache is the only answer cache: the
+     server answers from its rank and chain-label indexes, falling back to
+     the BFS, and caches no answers. *)
   let print_cache_stats ~prefix =
     match Client.cache_stats client with
     | None -> Printf.printf "%sclient order cache disabled\n" prefix

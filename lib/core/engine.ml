@@ -12,14 +12,12 @@ end
 
 type config = {
   initial_capacity : int;
-  traversal_cache : int;
   digests : bool;
   max_chains : int;
 }
 
 let default_config =
-  { initial_capacity = 1024; traversal_cache = 0; digests = true;
-    max_chains = 64 }
+  { initial_capacity = 1024; digests = true; max_chains = 64 }
 
 type t = {
   g : Graph.t;
@@ -33,8 +31,7 @@ type t = {
 
 let create ?(config = default_config) () =
   { g = Graph.create ~initial_capacity:config.initial_capacity
-      ~traversal_cache:config.traversal_cache ~digests:config.digests
-      ~max_chains:config.max_chains ();
+      ~digests:config.digests ~max_chains:config.max_chains ();
     creates = 0; queries = 0; assigns = 0; aborted_batches = 0;
     reversals = 0; collected = 0 }
 
@@ -56,25 +53,48 @@ let release_ref t e =
     Ok n
   | None -> Error (Order.Unknown_event e)
 
-let query_order t pairs =
+(* A [Live] view reads the engine's own graph directly — zero publication
+   cost, single-domain only, and queries keep feeding the engine's
+   counters.  A [Frozen] view is a deeply immutable snapshot safe to read
+   from any domain; its queries touch no mutable state at all. *)
+type view = Live of t | Frozen of Graph.Frozen.g
+
+let view_is_live v id =
+  match v with
+  | Live e -> Graph.is_live e.g id
+  | Frozen f -> Graph.Frozen.is_live f id
+
+let view_query v e1 e2 =
+  match v with
+  | Live e -> Graph.query e.g e1 e2
+  | Frozen f -> Graph.Frozen.query f e1 e2
+
+(* Check every argument first, then answer: a batch naming a stale event
+   fails whole.  Only a live view counts the queries. *)
+let view_query_order v pairs =
   let rec check = function
     | [] -> None
     | (e1, e2) :: rest ->
-      if not (Graph.is_live t.g e1) then Some e1
-      else if not (Graph.is_live t.g e2) then Some e2
+      if not (view_is_live v e1) then Some e1
+      else if not (view_is_live v e2) then Some e2
       else check rest
   in
   match check pairs with
   | Some e -> Error (Order.Unknown_event e)
   | None ->
     let answer (e1, e2) =
-      t.queries <- t.queries + 1;
-      Kronos_metrics.Counter.incr M.queries;
-      match Graph.query t.g e1 e2 with
+      (match v with
+       | Live t ->
+         t.queries <- t.queries + 1;
+         Kronos_metrics.Counter.incr M.queries
+       | Frozen _ -> ());
+      match view_query v e1 e2 with
       | Ok r -> r
       | Error _ -> assert false (* all arguments were checked live *)
     in
     Ok (List.map answer pairs)
+
+let query_order t pairs = view_query_order (Live t) pairs
 
 (* A normalized constraint: [before] precedes [after]. *)
 type pending = {
@@ -223,8 +243,7 @@ let of_snapshot ?(config = default_config) s =
   {
     g =
       Graph.of_snapshot ~initial_capacity:config.initial_capacity
-        ~traversal_cache:config.traversal_cache ~digests:config.digests
-        ~max_chains:config.max_chains s.snap_graph;
+        ~digests:config.digests ~max_chains:config.max_chains s.snap_graph;
     creates = s.snap_creates;
     queries = s.snap_queries;
     assigns = s.snap_assigns;
@@ -316,13 +335,6 @@ let pp_stats ppf s =
 
 let epoch t = Int64.of_int (Graph.version t.g)
 
-(* A [Live] view reads the engine's own graph directly — zero publication
-   cost, single-domain only, and queries keep feeding the engine's
-   counters exactly as before.  A [Frozen] view is a deeply immutable
-   snapshot safe to read from any domain; its queries touch no mutable
-   state at all (no counters, no caches). *)
-type view = Live of t | Frozen of Graph.Frozen.g
-
 let current_view t = Live t
 
 let publish t = Frozen (Graph.freeze t.g)
@@ -334,20 +346,14 @@ module View = struct
     | Live e -> Int64.of_int (Graph.version e.g)
     | Frozen f -> Int64.of_int (Graph.Frozen.version f)
 
-  let is_live v id =
-    match v with
-    | Live e -> Graph.is_live e.g id
-    | Frozen f -> Graph.Frozen.is_live f id
+  let is_live = view_is_live
 
   let rank v id =
     match v with
     | Live e -> Graph.rank e.g id
     | Frozen f -> Graph.Frozen.rank f id
 
-  let query v e1 e2 =
-    match v with
-    | Live e -> Graph.query e.g e1 e2
-    | Frozen f -> Graph.Frozen.query f e1 e2
+  let query = view_query
 
   let reachable v u w =
     match v with
@@ -359,26 +365,7 @@ module View = struct
     | Live e -> Graph.label_reachable e.g u w
     | Frozen f -> Graph.Frozen.label_reachable f u w
 
-  let query_order v pairs =
-    match v with
-    | Live e -> query_order e pairs
-    | Frozen f ->
-      let rec check = function
-        | [] -> None
-        | (e1, e2) :: rest ->
-          if not (Graph.Frozen.is_live f e1) then Some e1
-          else if not (Graph.Frozen.is_live f e2) then Some e2
-          else check rest
-      in
-      (match check pairs with
-       | Some e -> Error (Order.Unknown_event e)
-       | None ->
-         let answer (e1, e2) =
-           match Graph.Frozen.query f e1 e2 with
-           | Ok r -> r
-           | Error _ -> assert false (* all arguments were checked live *)
-         in
-         Ok (List.map answer pairs))
+  let query_order = view_query_order
 
   let digests_enabled = function
     | Live e -> Graph.digests_enabled e.g

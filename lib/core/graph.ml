@@ -6,7 +6,6 @@ module M = struct
   let scope = Kronos_metrics.scope "engine"
   let traversals = Kronos_metrics.counter scope "bfs_traversals_total"
   let visited = Kronos_metrics.counter scope "bfs_visited_total"
-  let cache_hits = Kronos_metrics.counter scope "traversal_cache_hits_total"
   let rank_relabels = Kronos_metrics.counter scope "rank_relabels_total"
   let rank_pruned = Kronos_metrics.counter scope "rank_pruned_queries_total"
   let bidir = Kronos_metrics.counter scope "bidir_traversals_total"
@@ -68,6 +67,32 @@ type label_undo =
   | J_assign of int * int * int  (* slot appended: slot, chain, prev tail *)
   | J_chain of int * bool        (* chain allocated: id, came from free list *)
 
+(* Traversal scratch: a visited sparse set and a queue per search direction,
+   sized to the slot count so a traversal allocates nothing.  The live graph
+   owns one; frozen views use one per reader domain.  [met] is the
+   bidirectional search's "the two sides met" flag. *)
+type scratch = {
+  visited : Sparse_set.t;
+  visited_b : Sparse_set.t;
+  mutable queue : int array;
+  mutable queue_b : int array;
+  mutable met : bool;
+}
+
+let make_scratch cap =
+  { visited = Sparse_set.create cap; visited_b = Sparse_set.create cap;
+    queue = Array.make cap 0; queue_b = Array.make cap 0; met = false }
+
+(* Make [sc] hold slots [0, n), at least doubling when it grows. *)
+let fit_scratch sc n =
+  if Array.length sc.queue < n then begin
+    let cap = max n (2 * Array.length sc.queue) in
+    Sparse_set.grow sc.visited cap;
+    Sparse_set.grow sc.visited_b cap;
+    sc.queue <- Array.make cap 0;
+    sc.queue_b <- Array.make cap 0
+  end
+
 type t = {
   mutable refcount : int array;  (* -1 marks a free slot *)
   mutable gen : int array;       (* generation of the current/next tenant *)
@@ -88,24 +113,13 @@ type t = {
      the open rank window (rank src, rank dst). *)
   mutable rank : int array;
   mutable next_rank : int;       (* strictly above every live rank *)
-  mutable visited : Sparse_set.t;
-  mutable queue : int array;     (* forward BFS frontier, capacity slots *)
-  mutable visited_b : Sparse_set.t;
-  mutable queue_b : int array;   (* backward BFS frontier *)
+  scratch : scratch;             (* BFS sets and queues, capacity slots *)
   relabel_stack : Int_vec.t;     (* (slot, floor) pairs, flattened *)
   mutable traversals : int;
   mutable visited_total : int;
   mutable rank_relabels : int;
   mutable rank_pruned : int;
   mutable bidir_traversals : int;
-  (* Positive reachability memo (Section 2.5 of the paper: "Kronos can
-     maintain an internal cache of traversal results").  Only reachable=true
-     results may be cached: monotonicity makes them stable forever, while a
-     negative result can be invalidated by any later edge.  Keys carry
-     generations, so slot reuse can never resurrect an entry. *)
-  reach_cache : (Event_id.t * Event_id.t, unit) Hashtbl.t;
-  reach_cache_capacity : int;  (* 0 disables caching *)
-  mutable reach_cache_hits : int;
   (* Commitment chains (DESIGN.md §13).  Per live slot, the ordered list of
      links folded into the event's chain, one per admitted incoming edge;
      the event's commitment is the head of the last link (or its identity
@@ -165,7 +179,7 @@ let max_gen = (1 lsl 22) - 1
 
 let default_max_chains = 64
 
-let create ?(initial_capacity = 1024) ?(traversal_cache = 0) ?(digests = true)
+let create ?(initial_capacity = 1024) ?(digests = true)
     ?(max_chains = default_max_chains) () =
   let cap = max initial_capacity 16 in
   {
@@ -183,9 +197,6 @@ let create ?(initial_capacity = 1024) ?(traversal_cache = 0) ?(digests = true)
     label_hits = 0;
     label_misses = 0;
     label_rebuilds = 0;
-    reach_cache = Hashtbl.create (max 16 (min traversal_cache 4096));
-    reach_cache_capacity = max 0 traversal_cache;
-    reach_cache_hits = 0;
     digests;
     chains = Array.init cap (fun _ -> Vec.create ~dummy:dummy_link ());
     digest_folds = 0;
@@ -200,10 +211,7 @@ let create ?(initial_capacity = 1024) ?(traversal_cache = 0) ?(digests = true)
     edges = 0;
     rank = Array.make cap 0;
     next_rank = 0;
-    visited = Sparse_set.create cap;
-    queue = Array.make cap 0;
-    visited_b = Sparse_set.create cap;
-    queue_b = Array.make cap 0;
+    scratch = make_scratch cap;
     relabel_stack = Int_vec.create ();
     traversals = 0;
     visited_total = 0;
@@ -221,7 +229,6 @@ let live_count g = g.live
 let edge_count g = g.edges
 let traversal_count g = g.traversals
 let visited_total g = g.visited_total
-let traversal_cache_hits g = g.reach_cache_hits
 let rank_relabel_count g = g.rank_relabels
 let rank_pruned_count g = g.rank_pruned
 let bidir_traversal_count g = g.bidir_traversals
@@ -259,12 +266,9 @@ let grow g =
   let labels = Array.make cap [||] in
   Array.blit g.labels 0 labels 0 old;
   g.labels <- labels;
-  Sparse_set.grow g.visited cap;
-  Sparse_set.grow g.visited_b cap;
+  fit_scratch g.scratch cap;
   Sparse_set.grow g.dirty cap;
-  Sparse_set.grow g.snap_dirty cap;
-  g.queue <- Array.make cap 0;
-  g.queue_b <- Array.make cap 0
+  Sparse_set.grow g.snap_dirty cap
 
 let version g = g.version
 
@@ -281,15 +285,22 @@ let touch g s =
    the slot. *)
 let touch_snap g s = Sparse_set.add g.snap_dirty s
 
-(* Resolve an identifier to its slot, checking liveness and generation. *)
-let resolve g id =
+(* The slot a live identifier names, checked against a graph's or a frozen
+   view's slot arrays; -1 for stale, unknown and [Event_id.none]
+   identifiers.  An int rather than an option so the query path allocates
+   nothing. *)
+let live_slot next_slot refcount gen id =
   let s = Event_id.slot id in
   if id <> Event_id.none
-     && s < g.next_slot
-     && g.refcount.(s) >= 0
-     && g.gen.(s) = Event_id.gen id
-  then Some s
-  else None
+     && s < next_slot
+     && refcount.(s) >= 0
+     && gen.(s) = Event_id.gen id
+  then s
+  else -1
+
+let slot g id = live_slot g.next_slot g.refcount g.gen id
+
+let resolve g id = let s = slot g id in if s < 0 then None else Some s
 
 let id_of_slot g s = Event_id.make ~slot:s ~gen:g.gen.(s)
 
@@ -347,7 +358,7 @@ let rank g id =
 let collect g s =
   g.version <- g.version + 1;
   g.journal <- []; (* collection never runs mid-batch *)
-  let stack = g.queue in
+  let stack = g.scratch.queue in
   let top = ref 0 in
   stack.(0) <- s;
   incr top;
@@ -668,187 +679,263 @@ let rebuild_label_index g =
     (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
   compute_labels g
 
-(* Rank-pruned bidirectional BFS over slots; allocation-free thanks to the
-   preallocated sparse sets and queues.  Degree guards make the common
-   fresh-event cases O(1): a source with no outgoing edge reaches nothing, a
-   destination with no incoming edge is unreachable.
+(* ------------------------------------------------------------------ *)
+(* Reachability: one decision procedure and one BFS kernel, shared by  *)
+(* the live graph and frozen views.                                    *)
+(* ------------------------------------------------------------------ *)
 
-   The search is level-synchronous on both sides and each round expands the
-   smaller frontier.  Levels are expanded completely even once a meeting
-   point is found: the visited sets then depend only on the {e sets} of
-   edges, not on adjacency-list order, which keeps [visited_total]
-   deterministic across snapshot restores (reverse adjacency is rebuilt in
-   slot order there, losing the original interleaving).
+(* Which state a query reads.  The live graph and a frozen view hold the
+   same query-visible state and differ only in how adjacency is stored
+   (growable vectors against exact-size arrays), in who owns the traversal
+   scratch, and in whether answers are counted: the live graph feeds its
+   counters and the metrics plane, a frozen view writes nothing shared.
+   The accessors below dispatch on this witness with direct calls, which
+   keeps the BFS free of indirect calls per visited vertex. *)
+type _ state = Live : t state | View : frozen state
 
-   Work accounting: every traversal adds to [visited_total] the number of
-   distinct slots inserted into a visited set, endpoints included (the
-   source and destination seed their sides, fixing the historical
-   undercount of the destination on found paths). *)
-let reachable_slots g src dst =
-  if src = dst then true
+(* A frozen view's traversal scratch: one per reader domain, keyed by
+   domain-local storage, so concurrent readers never share it and a query
+   allocates nothing once the scratch has grown to the view's slot
+   count. *)
+let view_scratch = Domain.DLS.new_key (fun () -> make_scratch 16)
+
+let slot_in : type a. a state -> a -> Event_id.t -> int =
+ fun st x id ->
+  match st with
+  | Live -> slot x id
+  | View -> live_slot x.f_next_slot x.f_refcount x.f_gen id
+
+let ranks : type a. a state -> a -> int array =
+ fun st x -> match st with Live -> x.rank | View -> x.f_rank
+
+(* The chain index, per slot: its chain (-1 when none), its position on
+   that chain, and its label. *)
+let chains : type a. a state -> a -> int array =
+ fun st x -> match st with Live -> x.chain_of | View -> x.f_chain_of
+
+let positions : type a. a state -> a -> int array =
+ fun st x -> match st with Live -> x.chain_pos | View -> x.f_chain_pos
+
+let labels_of : type a. a state -> a -> int array array =
+ fun st x -> match st with Live -> x.labels | View -> x.f_labels
+
+(* Neighbours of slot [s], successors when [fwd]: the first [degree]
+   entries of [edges]. *)
+let edges : type a. a state -> a -> bool -> int -> int array =
+ fun st x fwd s ->
+  match st with
+  | Live -> (if fwd then x.succ.(s) else x.pred.(s)).Int_vec.data
+  | View -> if fwd then x.f_succ.(s) else x.f_pred.(s)
+
+let degree : type a. a state -> a -> bool -> int -> int =
+ fun st x fwd s ->
+  match st with
+  | Live -> (if fwd then x.succ.(s) else x.pred.(s)).Int_vec.len
+  | View -> Array.length (if fwd then x.f_succ.(s) else x.f_pred.(s))
+
+let scratch_of : type a. a state -> a -> scratch =
+ fun st x ->
+  match st with
+  | Live -> x.scratch
+  | View ->
+    let sc = Domain.DLS.get view_scratch in
+    fit_scratch sc x.f_next_slot;
+    sc
+
+let count_pruned : type a. a state -> a -> int -> unit =
+ fun st x n ->
+  match st with
+  | Live ->
+    x.rank_pruned <- x.rank_pruned + n;
+    Kronos_metrics.Counter.add M.rank_pruned n
+  | View -> ()
+
+let count_label : type a. a state -> a -> bool -> unit =
+ fun st x hit ->
+  match st with
+  | Live when hit ->
+    x.label_hits <- x.label_hits + 1;
+    Kronos_metrics.Counter.incr M.label_hits
+  | Live ->
+    x.label_misses <- x.label_misses + 1;
+    Kronos_metrics.Counter.incr M.label_misses
+  | View -> ()
+
+let count_bfs : type a. a state -> a -> visited:int -> backward:int -> unit =
+ fun st x ~visited ~backward ->
+  match st with
+  | Live ->
+    x.traversals <- x.traversals + 1;
+    Kronos_metrics.Counter.incr M.traversals;
+    x.bidir_traversals <- x.bidir_traversals + backward;
+    Kronos_metrics.Counter.add M.bidir backward;
+    x.visited_total <- x.visited_total + visited;
+    Kronos_metrics.Counter.add M.visited visited
+  | View -> ()
+
+(* Expand the BFS level [q.(lo) .. q.(hi - 1)], forward when [fwd]: unseen
+   neighbours inside the open rank window [(rlo, rhi)] join [mine] and the
+   queue, and a neighbour already in [theirs] means the two searches met.
+   The level is expanded completely even after meeting (see [bfs]).
+   Returns the new queue tail. *)
+let expand st x fwd (rank : int array) rlo rhi sc mine theirs q lo hi =
+  let tail = ref hi in
+  for i = lo to hi - 1 do
+    let u = q.(i) in
+    let ws = edges st x fwd u in
+    for k = 0 to degree st x fwd u - 1 do
+      let w = ws.(k) in
+      if Sparse_set.mem theirs w then sc.met <- true
+      else if
+        (not (Sparse_set.mem mine w)) && rank.(w) > rlo && rank.(w) < rhi
+      then begin
+        Sparse_set.add mine w;
+        q.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  !tail
+
+(* Rank-pruned bidirectional BFS from [src] to [dst], for distinct slots
+   with rank src < rank dst; allocation-free thanks to the preallocated
+   scratch.  Degree guards make the common fresh-event cases O(1): a source
+   with no outgoing edge reaches nothing, a destination with no incoming
+   edge is unreachable.
+
+   The search is level-synchronous on both sides and each round expands
+   the smaller frontier.  Levels are expanded completely even once a
+   meeting point is found: the visited sets then depend only on the
+   {e sets} of edges, not on adjacency-list order, which keeps
+   [visited_total] deterministic across snapshot restores (reverse
+   adjacency is rebuilt in slot order there, losing the original
+   interleaving).
+
+   Work accounting: a search that passes the degree guards counts the
+   distinct slots inserted into a visited set, endpoints included, and the
+   backward levels it expanded. *)
+let bfs st x src dst =
+  if degree st x true src = 0 || degree st x false dst = 0 then false
   else begin
-    let rlo = g.rank.(src) and rhi = g.rank.(dst) in
-    if rlo >= rhi then false
-    else if Int_vec.is_empty g.succ.(src) || g.indeg.(dst) = 0 then false
-    else begin
-      g.traversals <- g.traversals + 1;
-      Kronos_metrics.Counter.incr M.traversals;
-      let vf = g.visited and vb = g.visited_b in
-      Sparse_set.clear vf;
-      Sparse_set.clear vb;
-      Sparse_set.add vf src;
-      Sparse_set.add vb dst;
-      let qf = g.queue and qb = g.queue_b in
-      qf.(0) <- src;
-      qb.(0) <- dst;
-      let fh = ref 0 and ft = ref 1 in  (* forward level = qf.[fh..ft) *)
-      let bh = ref 0 and bt = ref 1 in
-      let found = ref false in
-      let expand_forward () =
-        let lo = !fh and hi = !ft in
-        fh := hi;
-        for i = lo to hi - 1 do
-          let visit w =
-            if Sparse_set.mem vb w then found := true
-            else if (not (Sparse_set.mem vf w))
-                    && g.rank.(w) > rlo && g.rank.(w) < rhi
-            then begin
-              Sparse_set.add vf w;
-              qf.(!ft) <- w;
-              incr ft
-            end
-          in
-          Int_vec.iter visit g.succ.(qf.(i))
-        done
-      in
-      let expand_backward () =
-        g.bidir_traversals <- g.bidir_traversals + 1;
-        Kronos_metrics.Counter.incr M.bidir;
-        let lo = !bh and hi = !bt in
-        bh := hi;
-        for i = lo to hi - 1 do
-          let visit w =
-            if Sparse_set.mem vf w then found := true
-            else if (not (Sparse_set.mem vb w))
-                    && g.rank.(w) > rlo && g.rank.(w) < rhi
-            then begin
-              Sparse_set.add vb w;
-              qb.(!bt) <- w;
-              incr bt
-            end
-          in
-          Int_vec.iter visit g.pred.(qb.(i))
-        done
-      in
-      while (not !found) && !fh < !ft && !bh < !bt do
-        if !ft - !fh <= !bt - !bh then expand_forward ()
-        else expand_backward ()
-      done;
-      let visited = Sparse_set.cardinal vf + Sparse_set.cardinal vb in
-      g.visited_total <- g.visited_total + visited;
-      Kronos_metrics.Counter.add M.visited visited;
-      !found
-    end
+    let rank = ranks st x and sc = scratch_of st x in
+    let rlo = rank.(src) and rhi = rank.(dst) in
+    let vf = sc.visited and vb = sc.visited_b in
+    Sparse_set.clear vf;
+    Sparse_set.clear vb;
+    Sparse_set.add vf src;
+    Sparse_set.add vb dst;
+    sc.queue.(0) <- src;
+    sc.queue_b.(0) <- dst;
+    sc.met <- false;
+    (* each side's current level is queue.[head .. tail) *)
+    let fh = ref 0 and ft = ref 1 in
+    let bh = ref 0 and bt = ref 1 in
+    let backward = ref 0 in
+    while (not sc.met) && !fh < !ft && !bh < !bt do
+      if !ft - !fh <= !bt - !bh then begin
+        let lo = !fh in
+        fh := !ft;
+        ft := expand st x true rank rlo rhi sc vf vb sc.queue lo !fh
+      end
+      else begin
+        incr backward;
+        let lo = !bh in
+        bh := !bt;
+        bt := expand st x false rank rlo rhi sc vb vf sc.queue_b lo !bh
+      end
+    done;
+    count_bfs st x
+      ~visited:(Sparse_set.cardinal vf + Sparse_set.cardinal vb)
+      ~backward:!backward;
+    sc.met
   end
 
-let cache_reachable g u v su sv =
-  if Hashtbl.mem g.reach_cache (u, v) then begin
-    g.reach_cache_hits <- g.reach_cache_hits + 1;
-    Kronos_metrics.Counter.incr M.cache_hits;
-    true
-  end
+(* What the rank and label indexes alone say about [su ⇝ sv]. *)
+type verdict =
+  | Identical      (* same slot: no path to itself *)
+  | Rank_refuted   (* rank su >= rank sv: no path *)
+  | Label_reaches  (* sv is on a chain and su's label reaches it *)
+  | Label_refutes  (* sv is on a chain and su's label does not *)
+  | Unlabelled     (* sv is on no chain: only a traversal can tell *)
+
+(* u ⇝ v requires rank u < rank v, so rank u >= rank v (distinct slots)
+   refutes it in O(1).  When the destination sits on a chain, the label
+   compare answers the remaining direction, both ways, in O(#chains). *)
+let verdict st x su sv =
+  let rank = ranks st x in
+  if su = sv then Identical
+  else if rank.(su) >= rank.(sv) then Rank_refuted
   else begin
-    let found = reachable_slots g su sv in
-    if found then begin
-      (* full: drop everything rather than track recency — the memo refills
-         from the hot working set almost immediately *)
-      if Hashtbl.length g.reach_cache >= g.reach_cache_capacity then
-        Hashtbl.reset g.reach_cache;
-      Hashtbl.replace g.reach_cache (u, v) ()
-    end;
-    found
+    let c = (chains st x).(sv) in
+    if c < 0 then Unlabelled
+    else if label_le (labels_of st x).(su) c (positions st x).(sv) then
+      Label_reaches
+    else Label_refutes
   end
 
-(* A negative answer by rank comparison alone: u ⇝ v requires
-   rank u < rank v, so rank u >= rank v (distinct slots) refutes it in O(1)
-   without consulting the memo (which only holds positive facts).  When the
-   destination sits on a chain, the label compare answers the remaining
-   direction — both ways — in O(#chains); only an unassigned destination
-   (chain cap saturated, or no admitted in-edge) falls back to the
-   memo/BFS path. *)
-let reachable_ids g u v su sv =
-  if su = sv then false
-  else if g.rank.(su) >= g.rank.(sv) then begin
-    g.rank_pruned <- g.rank_pruned + 1;
-    Kronos_metrics.Counter.incr M.rank_pruned;
+(* The decision for resolved slots: rank refute, label compare, and the BFS
+   only for a destination off every chain (cap saturated, or no admitted
+   in-edge). *)
+let decide st x su sv =
+  match verdict st x su sv with
+  | Identical -> false
+  | Rank_refuted ->
+    count_pruned st x 1;
     false
-  end
-  else begin
-    let c = g.chain_of.(sv) in
-    if c >= 0 then begin
-      g.label_hits <- g.label_hits + 1;
-      Kronos_metrics.Counter.incr M.label_hits;
-      label_le g.labels.(su) c g.chain_pos.(sv)
-    end
-    else begin
-      g.label_misses <- g.label_misses + 1;
-      Kronos_metrics.Counter.incr M.label_misses;
-      if g.reach_cache_capacity = 0 then reachable_slots g su sv
-      else cache_reachable g u v su sv
-    end
-  end
+  | Label_reaches ->
+    count_label st x true;
+    true
+  | Label_refutes ->
+    count_label st x true;
+    false
+  | Unlabelled ->
+    count_label st x false;
+    bfs st x su sv
+
+let reachable_in st x u v =
+  let su = slot_in st x u and sv = slot_in st x v in
+  su >= 0 && sv >= 0 && decide st x su sv
 
 (* Label-only probe for provers and planners: [Some ans] when rank or label
    decides [u ⇝ v] without traversing, [None] when only a BFS could tell.
    Deliberately counter-free — a prover consults it per candidate edge and
    would otherwise drown the query-path hit-rate signal. *)
-let label_reachable g u v =
-  match resolve g u, resolve g v with
-  | Some su, Some sv ->
-    if su = sv then Some false
-    else if g.rank.(su) >= g.rank.(sv) then Some false
-    else begin
-      let c = g.chain_of.(sv) in
-      if c >= 0 then Some (label_le g.labels.(su) c g.chain_pos.(sv))
-      else None
-    end
-  | (None | Some _), _ -> Some false
+let label_reachable_in st x u v =
+  let su = slot_in st x u and sv = slot_in st x v in
+  if su < 0 || sv < 0 then Some false
+  else
+    match verdict st x su sv with
+    | Identical | Rank_refuted | Label_refutes -> Some false
+    | Label_reaches -> Some true
+    | Unlabelled -> None
 
-let reachable g u v =
-  match resolve g u, resolve g v with
-  | Some su, Some sv -> reachable_ids g u v su sv
-  | (None | Some _), _ -> false
-
-(* The rank comparison eliminates at least one BFS direction of every query
+(* The rank comparison eliminates at least one direction of every query
    outright: at most one of e1 ⇝ e2 / e2 ⇝ e1 is compatible with the rank
    order, and with equal ranks (distinct slots) both are refuted. *)
-let query g e1 e2 =
-  match resolve g e1, resolve g e2 with
-  | None, _ -> Error e1
-  | _, None -> Error e2
-  | Some s1, Some s2 ->
-    if s1 = s2 then Ok Order.Same
-    else begin
-      let r1 = g.rank.(s1) and r2 = g.rank.(s2) in
-      let prune n =
-        g.rank_pruned <- g.rank_pruned + n;
-        Kronos_metrics.Counter.add M.rank_pruned n
-      in
-      if r1 < r2 then begin
-        prune 1;
-        if reachable_ids g e1 e2 s1 s2 then Ok Order.Before
-        else Ok Order.Concurrent
-      end
-      else if r2 < r1 then begin
-        prune 1;
-        if reachable_ids g e2 e1 s2 s1 then Ok Order.After
-        else Ok Order.Concurrent
-      end
-      else begin
-        prune 2;
-        Ok Order.Concurrent
-      end
+let query_in st x e1 e2 =
+  let s1 = slot_in st x e1 and s2 = slot_in st x e2 in
+  if s1 < 0 then Error e1
+  else if s2 < 0 then Error e2
+  else if s1 = s2 then Ok Order.Same
+  else begin
+    let rank = ranks st x in
+    let r1 = rank.(s1) and r2 = rank.(s2) in
+    if r1 = r2 then begin
+      count_pruned st x 2;
+      Ok Order.Concurrent
     end
+    else begin
+      count_pruned st x 1;
+      if r1 < r2 then
+        if decide st x s1 s2 then Ok Order.Before else Ok Order.Concurrent
+      else if decide st x s2 s1 then Ok Order.After
+      else Ok Order.Concurrent
+    end
+  end
+
+let reachable g u v = reachable_in Live g u v
+let label_reachable g u v = label_reachable_in Live g u v
+let query g e1 e2 = query_in Live g e1 e2
 
 (* Chain head of slot [s] after its first [n] links (n = length for the
    current commitment).  n = 0 is the identity digest, recomputed from the
@@ -896,10 +983,10 @@ let cycle_probe g sv su =
   g.traversals <- g.traversals + 1;
   Kronos_metrics.Counter.incr M.traversals;
   let ceiling = g.rank.(su) in
-  let visited = g.visited in
+  let visited = g.scratch.visited in
   Sparse_set.clear visited;
   Sparse_set.add visited sv;
-  let queue = g.queue in
+  let queue = g.scratch.queue in
   queue.(0) <- sv;
   let head = ref 0 and tail = ref 1 in
   let found = ref false in
@@ -1006,9 +1093,6 @@ let remove_last_edge g u v =
        break "u ⇝ v implies rank u < rank v", it only removes paths.  The
        relabel the edge may have caused stays — it is a valid order for the
        smaller edge set too. *)
-    (* a rolled-back edge may have witnessed memoized reachability facts:
-       drop the memo wholesale (rollbacks are rare) *)
-    if g.reach_cache_capacity > 0 then Hashtbl.reset g.reach_cache;
     (* Labels must not over-approximate: pop this edge's journal group,
        restoring the exact pre-edge chains and label arrays.  The topmost
        group necessarily belongs to this edge (rollback is LIFO within the
@@ -1295,8 +1379,8 @@ let rebuild_chains g =
         Int_vec.iter (fun u -> fold_edge g u v) g.pred.(v))
     order
 
-let of_snapshot ?(initial_capacity = 1024) ?(traversal_cache = 0)
-    ?(digests = true) ?(max_chains = default_max_chains) s =
+let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
+    ?(max_chains = default_max_chains) s =
   let fail what = invalid_arg ("Graph.of_snapshot: " ^ what) in
   let n = s.snap_next_slot in
   if n < 0 || n > Event_id.max_slot + 1 then fail "bad slot count";
@@ -1305,8 +1389,7 @@ let of_snapshot ?(initial_capacity = 1024) ?(traversal_cache = 0)
      || Array.length s.snap_succ <> n
   then fail "mismatched array lengths";
   let g =
-    create ~initial_capacity:(max initial_capacity n) ~traversal_cache
-      ~digests ~max_chains ()
+    create ~initial_capacity:(max initial_capacity n) ~digests ~max_chains ()
   in
   g.next_slot <- n;
   let live = ref 0 in
@@ -1537,11 +1620,11 @@ let memory_bytes g =
   in
   array_bytes g.refcount + array_bytes g.gen + array_bytes g.indeg
   + array_bytes g.rank
-  + array_bytes g.queue + array_bytes g.queue_b
+  + array_bytes g.scratch.queue + array_bytes g.scratch.queue_b
   + (2 * (capacity g + 2) * word) (* succ/pred pointer arrays *)
   + adjacency g.succ + adjacency g.pred
-  + Sparse_set.memory_bytes g.visited
-  + Sparse_set.memory_bytes g.visited_b
+  + Sparse_set.memory_bytes g.scratch.visited
+  + Sparse_set.memory_bytes g.scratch.visited_b
   + Int_vec.capacity_bytes g.free
   + Int_vec.capacity_bytes g.relabel_stack
   (* chain-decomposition index: flat arrays + per-slot label vectors *)
@@ -1635,171 +1718,20 @@ module Frozen = struct
   let edge_count f = f.f_edges
   let digests_enabled f = f.f_digests
 
-  let resolve f id =
-    let s = Event_id.slot id in
-    if id <> Event_id.none
-       && s < f.f_next_slot
-       && f.f_refcount.(s) >= 0
-       && f.f_gen.(s) = Event_id.gen id
-    then Some s
-    else None
+  let resolve f id = let s = slot_in View f id in if s < 0 then None else Some s
 
-  let is_live f id = resolve f id <> None
+  let is_live f id = slot_in View f id >= 0
 
   let rank f id =
     match resolve f id with Some s -> Some f.f_rank.(s) | None -> None
 
-  (* Per-domain reusable traversal scratch — the frozen twin of the live
-     graph's preallocated sparse sets and queues.  Keyed by domain-local
-     storage, so concurrent readers never share it and a query allocates
-     nothing once the scratch has grown to the view's slot count.  Frozen
-     queries deliberately touch no process-wide metrics counters and no
-     mutable graph state: the whole read path is write-free. *)
-  type scratch = {
-    mutable visited : Sparse_set.t;
-    mutable visited_b : Sparse_set.t;
-    mutable queue : int array;
-    mutable queue_b : int array;
-  }
+  let reachable f u v = reachable_in View f u v
+  let label_reachable f u v = label_reachable_in View f u v
 
-  let scratch_key =
-    Domain.DLS.new_key (fun () ->
-        {
-          visited = Sparse_set.create 16;
-          visited_b = Sparse_set.create 16;
-          queue = Array.make 16 0;
-          queue_b = Array.make 16 0;
-        })
-
-  let scratch_for n =
-    let s = Domain.DLS.get scratch_key in
-    if Array.length s.queue < n then begin
-      let cap = max n (2 * Array.length s.queue) in
-      Sparse_set.grow s.visited cap;
-      Sparse_set.grow s.visited_b cap;
-      s.queue <- Array.make cap 0;
-      s.queue_b <- Array.make cap 0
-    end;
-    s
-
-  (* Rank-pruned level-synchronous bidirectional BFS over the frozen
-     arrays; the same algorithm as the live graph's [reachable_slots], with
-     in-degree read off the immutable reverse adjacency. *)
-  let reachable_slots f sc src dst =
-    if src = dst then true
-    else begin
-      let rlo = f.f_rank.(src) and rhi = f.f_rank.(dst) in
-      if rlo >= rhi then false
-      else if
-        Array.length f.f_succ.(src) = 0 || Array.length f.f_pred.(dst) = 0
-      then false
-      else begin
-        let vf = sc.visited and vb = sc.visited_b in
-        Sparse_set.clear vf;
-        Sparse_set.clear vb;
-        Sparse_set.add vf src;
-        Sparse_set.add vb dst;
-        let qf = sc.queue and qb = sc.queue_b in
-        qf.(0) <- src;
-        qb.(0) <- dst;
-        let fh = ref 0 and ft = ref 1 in
-        let bh = ref 0 and bt = ref 1 in
-        let found = ref false in
-        let expand_forward () =
-          let lo = !fh and hi = !ft in
-          fh := hi;
-          for i = lo to hi - 1 do
-            let outs = f.f_succ.(qf.(i)) in
-            for k = 0 to Array.length outs - 1 do
-              let w = outs.(k) in
-              if Sparse_set.mem vb w then found := true
-              else if
-                (not (Sparse_set.mem vf w))
-                && f.f_rank.(w) > rlo
-                && f.f_rank.(w) < rhi
-              then begin
-                Sparse_set.add vf w;
-                qf.(!ft) <- w;
-                incr ft
-              end
-            done
-          done
-        in
-        let expand_backward () =
-          let lo = !bh and hi = !bt in
-          bh := hi;
-          for i = lo to hi - 1 do
-            let ins = f.f_pred.(qb.(i)) in
-            for k = 0 to Array.length ins - 1 do
-              let w = ins.(k) in
-              if Sparse_set.mem vf w then found := true
-              else if
-                (not (Sparse_set.mem vb w))
-                && f.f_rank.(w) > rlo
-                && f.f_rank.(w) < rhi
-              then begin
-                Sparse_set.add vb w;
-                qb.(!bt) <- w;
-                incr bt
-              end
-            done
-          done
-        in
-        while (not !found) && !fh < !ft && !bh < !bt do
-          if !ft - !fh <= !bt - !bh then expand_forward ()
-          else expand_backward ()
-        done;
-        !found
-      end
-    end
-
-  (* The same label fast path as the live graph's [reachable_ids]: frozen
-     views carry the chain index, so reader domains answer assigned
-     destinations — both polarities — by an O(#chains) compare and only
-     fall back to the scratch BFS on cap saturation.  (This closes the
-     PR 7 open item: frozen views used to have no positive fast path at
-     all, the live reach memo being unshareable.) *)
-  let reach f su sv =
-    let c = f.f_chain_of.(sv) in
-    if c >= 0 then label_le f.f_labels.(su) c f.f_chain_pos.(sv)
-    else reachable_slots f (scratch_for f.f_next_slot) su sv
-
-  let reachable f u v =
-    match (resolve f u, resolve f v) with
-    | Some su, Some sv ->
-      if su = sv then false
-      else if f.f_rank.(su) >= f.f_rank.(sv) then false
-      else reach f su sv
-    | _ -> false
-
-  let label_reachable f u v =
-    match (resolve f u, resolve f v) with
-    | Some su, Some sv ->
-      if su = sv then Some false
-      else if f.f_rank.(su) >= f.f_rank.(sv) then Some false
-      else begin
-        let c = f.f_chain_of.(sv) in
-        if c >= 0 then Some (label_le f.f_labels.(su) c f.f_chain_pos.(sv))
-        else None
-      end
-    | _ -> Some false
-
-  let query f e1 e2 =
-    match (resolve f e1, resolve f e2) with
-    | None, _ -> Error e1
-    | _, None -> Error e2
-    | Some s1, Some s2 ->
-      if s1 = s2 then Ok Order.Same
-      else begin
-        let r1 = f.f_rank.(s1) and r2 = f.f_rank.(s2) in
-        if r1 < r2 then begin
-          if reach f s1 s2 then Ok Order.Before else Ok Order.Concurrent
-        end
-        else if r2 < r1 then begin
-          if reach f s2 s1 then Ok Order.After else Ok Order.Concurrent
-        end
-        else Ok Order.Concurrent
-      end
+  (* Frozen queries run the live graph's decision procedure and BFS over
+     the view's immutable arrays and domain-local scratch; they touch no
+     process-wide counter and no mutable graph state. *)
+  let query f e1 e2 = query_in View f e1 e2
 
   let id_of_slot f s = Event_id.make ~slot:s ~gen:f.f_gen.(s)
 

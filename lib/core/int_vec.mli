@@ -4,7 +4,11 @@
     stacks.  Growth follows array doubling, which is what produces the
     memory-consumption discontinuities the paper notes under Figure 10. *)
 
-type t
+type t = private { mutable data : int array; mutable len : int }
+(** Only [data.(0) .. data.(len - 1)] are elements, and a {!push} that grows
+    the vector replaces [data].  The fields are readable (not writable)
+    outside this module so a hot loop can walk the elements without a
+    function call per vector or per element. *)
 
 val create : ?capacity:int -> unit -> t
 (** [create ?capacity ()] is an empty vector.  [capacity] is a hint for the

@@ -17,7 +17,8 @@
     (connections are sharded [client mod domains], which keeps replies
     per-connection FIFO and epochs per-connection monotonic).  The worker
     answers against the latest view with zero locks on the query path and
-    per-domain reusable traversal scratch, pushes the encoded response on
+    per-domain reusable traversal scratch, and caches no answers: repeated
+    pairs are the client order cache's job.  It pushes the encoded response on
     a completion queue and wakes the loop ({!Kronos_transport.Event_loop.notify});
     the loop thread drains completions and sends the replies. *)
 

@@ -302,20 +302,46 @@ let make_rank_differential ~max_chains name =
                 | _ -> Test.fail_reportf "step %d: live event without rank" step)
               succs.(u)
         done;
+        (* the frozen view answers through the same decision procedure and
+           BFS; at caps 2 and 0 many destinations are off every chain, so
+           this reaches the frozen BFS fallback *)
+        let f = Graph.freeze !g in
+        let check_label what u v = function
+          | Some ans ->
+            if max_chains = 0 && ans then
+              Test.fail_reportf
+                "step %d: disabled %s label index claimed %d -> %d" step what u v;
+            if ans <> model_reach u v then
+              Test.fail_reportf "step %d: %s label mismatch %d -> %d" step what
+                u v
+          | None -> ()
+        in
         for u = 0 to !created - 1 do
+          if Graph.Frozen.is_live f ids.(u) <> live.(u) then
+            Test.fail_reportf "step %d: frozen liveness mismatch on event %d"
+              step u;
           for v = 0 to !created - 1 do
             if u <> v && live.(u) && live.(v) then begin
-              if Graph.reachable !g ids.(u) ids.(v) <> model_reach u v then
+              let reach = model_reach u v in
+              if Graph.reachable !g ids.(u) ids.(v) <> reach then
                 Test.fail_reportf "step %d: reachability mismatch %d -> %d"
                   step u v;
-              match Graph.label_reachable !g ids.(u) ids.(v) with
-              | Some ans ->
-                if max_chains = 0 && ans then
-                  Test.fail_reportf
-                    "step %d: disabled label index claimed %d -> %d" step u v;
-                if ans <> model_reach u v then
-                  Test.fail_reportf "step %d: label mismatch %d -> %d" step u v
-              | None -> ()
+              if Graph.Frozen.reachable f ids.(u) ids.(v) <> reach then
+                Test.fail_reportf
+                  "step %d: frozen reachability mismatch %d -> %d" step u v;
+              check_label "live" u v (Graph.label_reachable !g ids.(u) ids.(v));
+              check_label "frozen" u v
+                (Graph.Frozen.label_reachable f ids.(u) ids.(v));
+              let expected =
+                if reach then Order.Before
+                else if model_reach v u then Order.After
+                else Order.Concurrent
+              in
+              match Graph.Frozen.query f ids.(u) ids.(v) with
+              | Ok r when Order.relation_equal r expected -> ()
+              | Ok _ | Error _ ->
+                Test.fail_reportf "step %d: frozen query mismatch %d, %d"
+                  step u v
             end
           done
         done
@@ -541,6 +567,37 @@ let test_chain_cap_saturation () =
   Alcotest.(check bool) "bfs answers" true (Graph.reachable g0 x y);
   Alcotest.(check int) "no label hits" 0 (Graph.label_hit_count g0)
 
+(* The query path allocates nothing (the [Graph] contract): on a chain with
+   the label index off, every query below is a 500-hop BFS, so a per-vertex
+   allocation would show as thousands of words per query.  The bound leaves
+   room for the [Gc.minor_words] readings themselves. *)
+let test_queries_allocate_nothing () =
+  let n = 2_000 and hops = 500 and queries = 1_000 in
+  let g = Graph.create ~max_chains:0 () in
+  let ids = Array.init n (fun _ -> Graph.create_event g) in
+  for i = 0 to n - 2 do
+    Graph.add_edge g ids.(i) ids.(i + 1)
+  done;
+  let words_per_query name reachable =
+    (* warm-up: a frozen view's domain-local scratch grows on first use *)
+    Alcotest.(check bool) (name ^ " reaches") true (reachable ids.(0) ids.(hops));
+    let before = Gc.minor_words () in
+    let all = ref true in
+    for i = 0 to queries - 1 do
+      if not (reachable ids.(i) ids.(i + hops)) then all := false
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int queries in
+    Alcotest.(check bool) (name ^ " answers") true !all;
+    if words > 4.0 then
+      Alcotest.failf "%s: %.1f minor words per %d-hop query (bound 4)" name
+        words hops
+  in
+  let traversals = Graph.traversal_count g in
+  words_per_query "live" (Graph.reachable g);
+  Alcotest.(check int) "live queries traversed" (queries + 1)
+    (Graph.traversal_count g - traversals);
+  words_per_query "frozen" (Graph.Frozen.reachable (Graph.freeze g))
+
 let suites =
   [ ( "graph",
       [
@@ -557,6 +614,8 @@ let suites =
         Alcotest.test_case "introspection" `Quick test_introspection;
         Alcotest.test_case "visited accounting" `Quick test_visited_accounting;
         Alcotest.test_case "chain cap saturation" `Quick test_chain_cap_saturation;
+        Alcotest.test_case "queries allocate nothing" `Quick
+          test_queries_allocate_nothing;
         QCheck_alcotest.to_alcotest prop_rank_index_differential;
         QCheck_alcotest.to_alcotest prop_label_saturated_differential;
         QCheck_alcotest.to_alcotest prop_label_disabled_differential;
