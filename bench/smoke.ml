@@ -563,7 +563,7 @@ let durability_recovery_smoke () =
     if i > 0 then
       apply
         (Message.encode_request
-           (Message.Assign_order [ Order.must_before ids.(i - 1) ids.(i) ]))
+           (Message.Assign_order_at [ Order.must_before ids.(i - 1) ids.(i) ]))
   done;
   Wal.sync wal;
   if !last_snap = 0 then failwith "smoke: recovery bench never snapshotted";

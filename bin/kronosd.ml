@@ -67,9 +67,9 @@ let () =
   let data_dir = ref "" in
   let metrics_addr = ref "" in
   let no_metrics = ref false in
-  let snapshot_every = ref 1024 in
-  let snapshot_wal_bytes = ref 0 in
-  let max_delta_chain = ref 8 in
+  let default_policy = Server.snapshot_policy () in
+  let snapshot_wal_bytes = ref default_policy.Server.wal_bytes_per_snapshot in
+  let max_delta_chain = ref default_policy.Server.max_delta_chain in
   let query_domains = ref (max 1 (Domain.recommended_domain_count () - 1)) in
   let ping_interval = ref 0.2 in
   let failure_timeout = ref 1.0 in
@@ -111,18 +111,18 @@ let () =
       ( "--no-metrics",
         Arg.Set no_metrics,
         " switch the metrics registry to the no-op sink" );
-      ( "--snapshot-every",
-        Arg.Set_int snapshot_every,
-        "N snapshot + truncate the WAL every N commands (default 1024)" );
       ( "--snapshot-wal-bytes",
         Arg.Set_int snapshot_wal_bytes,
-        "B snapshot once B WAL bytes accrue, writing incremental deltas \
-         between full snapshots (0 = count-based --snapshot-every, the \
-         default)" );
+        Printf.sprintf
+          "B snapshot once B WAL bytes accrue, writing incremental deltas \
+           between full snapshots (default %d, min 1)"
+          !snapshot_wal_bytes );
       ( "--max-delta-chain",
         Arg.Set_int max_delta_chain,
-        "N deltas between full snapshots under --snapshot-wal-bytes \
-         (default 8; 0 = full snapshots only)" );
+        Printf.sprintf
+          "N deltas between full snapshots (default %d; 0 = full snapshots \
+           only)"
+          !max_delta_chain );
       ( "--query-domains",
         Arg.Set_int query_domains,
         "N reader domains answering queries over published views (default \
@@ -147,6 +147,11 @@ let () =
   end;
   if (not !coordinate) && !coordinator = None then begin
     prerr_endline "kronosd: need --coordinate or --coordinator A@H:P";
+    exit 2
+  end;
+  if !snapshot_wal_bytes < 1 || !max_delta_chain < 0 then begin
+    prerr_endline
+      "kronosd: need --snapshot-wal-bytes >= 1 and --max-delta-chain >= 0";
     exit 2
   end;
   if !verbose then begin
@@ -198,15 +203,11 @@ let () =
     if !data_dir = "" then None
     else
       let policy =
-        if !snapshot_wal_bytes <= 0 then None
-        else
-          Some
-            (Server.snapshot_policy
-               ~wal_bytes_per_snapshot:!snapshot_wal_bytes
-               ~max_delta_chain:!max_delta_chain ())
+        Server.snapshot_policy ~wal_bytes_per_snapshot:!snapshot_wal_bytes
+          ~max_delta_chain:!max_delta_chain ()
       in
       Some
-        (Server.durability ~snapshot_every:!snapshot_every ?policy
+        (Server.durability ~policy
            ~storage_of:(fun a ->
              Kronos_durability.Storage.files
                ~dir:(Filename.concat !data_dir (string_of_int a)))

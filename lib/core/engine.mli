@@ -58,7 +58,7 @@ val assign_order :
       [Reversed]; a prefer of an event with itself is a no-op ([Already]);
     - a pair whose order is already implied adds no edge ([Already]).
 
-    Outcomes are returned in request order. *)
+    The outcomes come back in request order. *)
 
 val guarded_assign :
   t ->

@@ -198,16 +198,13 @@ val digest_fold_count : t -> int
     - per-slot generations, including those of free slots, so restored
       identifiers resolve exactly as before and stale ones stay stale;
     - per-slot topological ranks and the rank allocator, so restored
-      engines prune and relabel exactly as the captured one would
-      ([snap_rank = None] marks a legacy rank-less capture: ranks are then
-      rebuilt deterministically with Kahn's algorithm, preserving query
-      answers but not necessarily traversal statistics);
+      engines prune and relabel exactly as the captured one would;
     - traversal counters, so work accounting continues rather than resets.
 
     In-degrees, reverse adjacency, live/edge counts and the chain labels
     are reconstructed. *)
 
-(** The chain-decomposition assignment (snapshot format v5).  Labels are
+(** The chain-decomposition assignment.  Labels are
     deliberately absent: exact labels are a pure function of adjacency +
     chains, recomputed identically on every restore. *)
 type chain_snapshot = {
@@ -223,7 +220,7 @@ type snapshot = {
   snap_gen : int array;          (** per slot *)
   snap_succ : int array array;   (** successor slots, insertion order *)
   snap_free : int array;         (** free stack, bottom to top *)
-  snap_rank : int array option;  (** per slot; [None] for legacy captures *)
+  snap_rank : int array;         (** per slot *)
   snap_next_rank : int;          (** rank allocator high-water mark *)
   snap_traversals : int;
   snap_visited_total : int;
@@ -231,43 +228,32 @@ type snapshot = {
   (** per-slot commitment-chain links as
       [(predecessor id, predecessor head, predecessor position)] triples;
       partners and heads are refolded on restore.  [None] marks a capture
-      without a digest section (legacy version, or digests disabled):
-      chains are then rebuilt deterministically from adjacency — see
-      {!of_snapshot}. *)
+      of a digest-disabled engine: chains are then rebuilt
+      deterministically from adjacency — see {!of_snapshot}. *)
   snap_version : int;
   (** the graph {!version} at capture time, so the view epoch continues
-      monotonically across restarts.  [0] marks a legacy capture (snapshot
-      format < 4): restore then seeds the version from the rank allocator,
-      which is deterministic across replicas but not continuous with the
-      captured engine's epoch. *)
-  snap_chains : chain_snapshot option;
-  (** the chain-decomposition assignment; [None] marks a legacy capture
-      (format < 5): chains are then rebuilt canonically — live slots in
-      (rank, slot) order, each extending the first predecessor that is its
-      chain's tail — so replicas restoring the same capture agree, though
-      the assignment generally differs from the captured engine's (and so
-      may the post-restore hit rate, never an answer). *)
+      monotonically across restarts *)
+  snap_chains : chain_snapshot;
+  (** the chain-decomposition assignment, installed verbatim on restore *)
 }
 
 val to_snapshot : t -> snapshot
 (** Deep copy; the snapshot does not alias the graph's arrays.
-    [snap_rank] and [snap_chains] are always [Some _]; [snap_links] is
-    [Some _] iff digests are enabled. *)
+    [snap_links] is [Some _] iff digests are enabled. *)
 
 val of_snapshot :
   ?initial_capacity:int -> ?digests:bool -> ?max_chains:int -> snapshot -> t
 (** Rebuild a graph behaviourally identical to the one captured.  The
     options mirror {!create}; capacity is raised to fit the snapshot.
 
-    With [~digests:true] (default) and [snap_links = None] — a legacy
-    capture upgraded in place — commitment chains are rebuilt canonically:
+    With [~digests:true] (default) and [snap_links = None] — a capture of
+    a digest-disabled engine — commitment chains are rebuilt canonically:
     live slots in (rank, slot) order, one link per stored predecessor in
     reverse-adjacency order, each fold using the predecessor's final head.
     The rebuild is a function of the snapshot's adjacency alone, so every
-    upgrade of the same logical graph agrees on every commitment (whether
-    ranks were persisted or reconstructed); it does {e not} reproduce the
-    captured engine's original chains, whose admission interleaving the
-    snapshot never recorded.
+    such restore of the same logical graph agrees on every commitment; it
+    does {e not} reproduce the chains a digest-enabled engine would have
+    held, whose admission interleaving the snapshot never recorded.
     @raise Invalid_argument if the snapshot is internally inconsistent
     (mismatched array lengths, edges to free slots, out-of-range values,
     ranks violating the edge invariant, a cyclic edge set, or malformed
@@ -324,9 +310,11 @@ val apply_delta : snapshot -> delta -> snapshot
 (** Overlay a delta on the base snapshot it was captured against.  Pure;
     the composed snapshot is validated by {!of_snapshot} like any other.
     @raise Invalid_argument when the base structurally cannot carry the
-    delta: no rank/chain/digest section (a legacy capture whose restore
-    rebuilt that state), or a delta whose slot space is smaller than the
-    base's. *)
+    delta: a digest-carrying delta over a base without links, a delta
+    whose slot space is smaller than the base's, or one that grows the
+    slot space by more slots than it carries (every slot allocated after
+    the base is dirty, so a genuine delta never does; the check runs
+    before anything is allocated). *)
 
 val snapshot_written : t -> unit
 (** Mark the current state durably captured: clear the snapshot dirty set
@@ -387,8 +375,8 @@ val label_miss_count : t -> int
     BFS. *)
 
 val label_rebuild_count : t -> int
-(** Full deterministic label recomputations (snapshot restores, and the
-    defensive out-of-protocol rollback path). *)
+(** Full deterministic label recomputations (one per snapshot restore,
+    plus the defensive out-of-protocol rollback path). *)
 
 val max_chains : t -> int
 (** The chain cap this graph was created with. *)

@@ -1,30 +1,30 @@
-(** Versioned binary snapshots of full engine state.
+(** Binary snapshots of full engine state.
 
     A snapshot file ([snap-<seq>.snap]) holds the engine as of sequence
     number [seq]: magic, a format version, a CRC-32 of the body, then the
     {!Kronos.Engine.snapshot} encoded with the wire codec.  Files are
     written to a temporary name, synced, then renamed, so a crash mid-write
     never leaves a readable-but-bogus newest snapshot; readers skip corrupt
-    files and fall back to the next older one. *)
+    files and fall back to the next older one.
+
+    One format is read and written: {!version}.  A file of any other
+    version — including the versions 1–4 that builds before the
+    chain-decomposition index wrote — is skipped exactly like a corrupt
+    one, so a data directory holding only such files recovers nothing
+    from its snapshots. *)
 
 open Kronos
 
 val version : int
+(** The one format version written and read. *)
 
 (** {1 Pure encoding} *)
 
 val encode : seq:int -> Engine.snapshot -> string
 
-val encode_at : fmt:int -> seq:int -> Engine.snapshot -> string
-(** Encode in an older format version ([1 <= fmt <= version]) — the
-    sections that format lacks are omitted, so the file is bit-compatible
-    with what a [fmt]-era engine wrote.  Used by the cross-version
-    recovery matrix and the nemesis harness's mixed-version chains.
-    @raise Invalid_argument on an unsupported [fmt]. *)
-
 val decode : string -> int * Engine.snapshot
-(** @raise Kronos_wire.Codec.Decode_error on bad magic, unsupported
-    version, checksum mismatch or malformed body. *)
+(** @raise Kronos_wire.Codec.Decode_error on bad magic, a version other
+    than {!version}, checksum mismatch or malformed body. *)
 
 (** {1 Snapshot files} *)
 
@@ -35,17 +35,6 @@ val write : Storage.t -> seq:int -> Engine.t -> unit
 
 val write_bytes : Storage.t -> seq:int -> string -> unit
 (** Persist already-encoded snapshot bytes (state transfer receive path). *)
-
-val load_latest : ?config:Engine.config -> Storage.t -> (int * Engine.t) option
-(** Decode the newest valid snapshot, skipping corrupt ones. *)
-
-val load_latest_bytes : Storage.t -> (int * string) option
-(** The newest checksum-valid snapshot without decoding it (state transfer
-    send path). *)
-
-val truncate_old : Storage.t -> keep:int -> unit
-(** Delete all but the newest [keep] snapshot files (and stray temporary
-    files from interrupted writes). *)
 
 (** {1 Incremental snapshots (DESIGN.md §16)}
 

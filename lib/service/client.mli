@@ -65,11 +65,12 @@ val query_order :
     a read-only phase), as in the paper's scalability experiment.
 
     [consistency] (default [`Latest]) is the view-epoch demand
-    (DESIGN.md §14).  [`At_least e] sends the epoch-stamped wire message;
-    if the answering replica's view is older than [e], the client retries
-    once at the tail — which applied the write that produced [e], so
-    cannot be behind it.  Pass [`At_least (last_epoch t)] after an
-    {!assign_order} ack for read-your-writes.  Cached answers are served
+    (DESIGN.md §14), sent as the [min_epoch] of the query ([`Latest] sends
+    0).  If the answering replica's view is older than an [`At_least e]
+    demand, the client retries once at the tail — which applied the write
+    that produced [e], so cannot be behind it.  Pass
+    [`At_least (last_epoch t)] after an {!assign_order} or
+    {!guarded_assign} ack for read-your-writes.  Cached answers are served
     regardless of the demand: cache entries are stable facts, true at
     every later epoch (monotonicity). *)
 
@@ -83,9 +84,8 @@ val query_order_e :
   unit
 (** Like {!query_order} but cache-{e bypassing} and epoch-{e reporting}:
     every pair is sent to the service and the callback also receives the
-    exact view epoch the answers reflect (0 only when talking to a server
-    predating epoch stamps).  Answers still populate the cache.  This is
-    what [kronos_cli query] prints. *)
+    exact view epoch the answers reflect.  Answers still populate the
+    cache.  This is what [kronos_cli query] prints. *)
 
 val assign_order :
   t ->
@@ -95,16 +95,8 @@ val assign_order :
   unit
 (** Atomic ordering batch, applied by the replicated state machine; build
     the specs with {!Order.must_before} and friends.  On success, every
-    applied or implied pair is inserted into the local order cache.
-
-    The batch is sent with the epoch-stamped wire encoding so the ack
-    advances {!last_epoch}; a server predating epoch stamps rejects that
-    tag as unparseable (applying nothing), in which case the client
-    transparently retries the batch once with the legacy encoding and
-    keeps using it for the rest of its life — mixed-version clusters and
-    rolling upgrades keep writing, at the cost that such acks carry no
-    epoch (so [`At_least (last_epoch t)] demands only up to the newest
-    epoch some stamped reply did report). *)
+    applied or implied pair is inserted into the local order cache.  The
+    ack carries the post-apply epoch and advances {!last_epoch}. *)
 
 val guarded_assign :
   t ->
@@ -116,7 +108,8 @@ val guarded_assign :
 (** {!assign_order} preceded by atomically evaluated guards: the batch
     applies only if every guard pair still has the expected relation,
     otherwise it fails with [Rejected (Guard_failed i)] and no side
-    effects.  The federation router uses this to commit cross-shard
+    effects.  Like {!assign_order}, a successful ack advances
+    {!last_epoch}.  The federation router uses this to commit cross-shard
     edges without a window for concurrent contradicting assigns. *)
 
 val query_verified :
@@ -166,9 +159,9 @@ val stale_revalidations : t -> int
     the tail. *)
 
 val last_epoch : t -> int64
-(** Highest view epoch observed in any epoch-stamped reply ({!assign_order}
-    acks, {!query_order_e}, [`At_least] queries); 0 before the first one.
-    [`At_least (last_epoch t)] demands read-your-writes. *)
+(** Highest view epoch observed in any reply that carries one (assign
+    and guarded-assign acks, queries that reached the service); 0 before
+    the first one.  [`At_least (last_epoch t)] demands read-your-writes. *)
 
 val epoch_retries : t -> int
 (** Queries re-sent to the tail because a stale replica's view was behind

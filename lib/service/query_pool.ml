@@ -67,10 +67,6 @@ let domains t = Array.length t.workers
 let answer view req =
   let response =
     match (req : Message.request) with
-    | Message.Query_order pairs -> (
-      match Engine.View.query_order view pairs with
-      | Ok rels -> Message.Orders rels
-      | Error err -> Message.Rejected err)
     | Message.Query_order_at { min_epoch = _; pairs } -> (
       (* answer at whatever epoch we have; the stamp lets the client
          detect staleness and escalate to the tail *)
@@ -93,8 +89,7 @@ let answer view req =
         Message.Proof_is { relation; cert }
       | Ok _ -> assert false)
     | Message.Create_event | Message.Acquire_ref _ | Message.Release_ref _
-    | Message.Assign_order _ | Message.Assign_order_at _
-    | Message.Guarded_assign _ ->
+    | Message.Assign_order_at _ | Message.Guarded_assign _ ->
       assert false (* offload never enqueues writes *)
   in
   Message.encode_response response
@@ -204,12 +199,10 @@ let offload t ~client ~cmd ~reply =
         (* let the synchronous path produce the canonical rejection *)
         false
       | Message.Create_event | Message.Acquire_ref _ | Message.Release_ref _
-      | Message.Assign_order _ | Message.Assign_order_at _
-      | Message.Guarded_assign _ ->
+      | Message.Assign_order_at _ | Message.Guarded_assign _ ->
         Kronos_metrics.Counter.incr M.declined;
         false
-      | (Message.Query_order _ | Message.Query_order_at _
-        | Message.Query_proof _) as req ->
+      | (Message.Query_order_at _ | Message.Query_proof _) as req ->
         (* Publish at most once per event-loop iteration: re-freezing on
            every offloaded read made interleaved write/read workloads pay
            the freeze's O(live slots) flat-array copy per request.  One

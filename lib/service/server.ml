@@ -51,11 +51,6 @@ let apply engine cmd =
           match Engine.release_ref engine e with
           | Ok n -> Message.Ref_released n
           | Error err -> Message.Rejected err)
-    | Message.Query_order pairs ->
-      timed M.query_order (fun () ->
-          match Engine.query_order engine pairs with
-          | Ok rels -> Message.Orders rels
-          | Error err -> Message.Rejected err)
     | Message.Query_proof (e1, e2) ->
       timed M.query_proof (fun () ->
           match Engine.query_order engine [ (e1, e2) ] with
@@ -72,15 +67,10 @@ let apply engine cmd =
             in
             Message.Proof_is { relation; cert }
           | Ok _ -> assert false (* one pair in, one relation out *))
-    | Message.Assign_order reqs ->
-      timed M.assign_order (fun () ->
-          match Engine.assign_order engine reqs with
-          | Ok outs -> Message.Outcomes outs
-          | Error err -> Message.Rejected err)
     | Message.Guarded_assign { guards; specs } ->
       timed M.guarded_assign (fun () ->
           match Engine.guarded_assign engine ~guards specs with
-          | Ok outs -> Message.Outcomes outs
+          | Ok outs -> Message.Outcomes_at { epoch = Engine.epoch engine; outs }
           | Error err -> Message.Rejected err)
     | Message.Query_order_at { min_epoch = _; pairs } ->
       (* [min_epoch] is advisory: the live engine is the freshest state
@@ -102,10 +92,10 @@ let apply engine cmd =
   in
   Message.encode_response response
 
-(* Amortized snapshotting (DESIGN.md §16): instead of a full snapshot
-   every N commands, trigger on WAL bytes accumulated since the last
-   snapshot and write {e incremental} deltas between full snapshots, so a
-   busy replica's snapshot cost tracks its write rate, not its history. *)
+(* Amortized snapshotting (DESIGN.md §16): trigger on WAL bytes
+   accumulated since the last snapshot and write {e incremental} deltas
+   between full snapshots, so a busy replica's snapshot cost tracks its
+   write rate, not its history. *)
 type snapshot_policy = {
   wal_bytes_per_snapshot : int;
   max_delta_chain : int;
@@ -122,15 +112,13 @@ let snapshot_policy ?(wal_bytes_per_snapshot = 4 * 1024 * 1024)
 type durability = {
   storage_of : Transport.addr -> Durability.Storage.t;
   wal_config : Durability.Wal.config;
-  snapshot_every : int;
   snapshots_kept : int;
-  policy : snapshot_policy option;
+  policy : snapshot_policy;
 }
 
 let durability ?(wal_config = Durability.Wal.default_config)
-    ?(snapshot_every = 1024) ?(snapshots_kept = 2) ?policy ~storage_of () =
-  if snapshot_every < 1 then invalid_arg "Server.durability: snapshot_every";
-  { storage_of; wal_config; snapshot_every; snapshots_kept; policy }
+    ?(snapshots_kept = 2) ?(policy = snapshot_policy ()) ~storage_of () =
+  { storage_of; wal_config; snapshots_kept; policy }
 
 type cluster = {
   net : Chain.msg Transport.t;
@@ -165,8 +153,8 @@ let start_replica ~net ~addr ~engine_config ~service ~query_pool =
 
 (* A durable replica first recovers from its storage (snapshot + WAL
    suffix), then runs with persistence hooks: log each applied command,
-   group-commit per message, snapshot every [snapshot_every] commands and
-   truncate the log segments the snapshot covers. *)
+   group-commit per message, snapshot once the policy's WAL volume has
+   accrued, and truncate the log segments the snapshot covers. *)
 let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
   let storage = d.storage_of addr in
   let replayed = ref [] in
@@ -182,33 +170,31 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
   let wal = outcome.Durability.Recovery.wal in
   let last_snap = ref outcome.Durability.Recovery.snapshot_seq in
   (* Incremental-snapshot bookkeeping.  [last_full = 0] forces the first
-     policy-triggered snapshot after {e any} recovery or install to be a
-     full one: a delta may only base on a snapshot this process wrote
-     after the dirty set was last cleared, never on whatever (possibly
-     legacy-format, possibly rebuilt) state recovery restored. *)
+     snapshot after {e any} recovery or install to be a full one: a delta
+     may only base on a snapshot this process wrote after the dirty set
+     was last cleared, never on whatever state recovery restored. *)
   let last_full = ref 0 in
   let deltas_since_full = ref 0 in
   let bytes_mark = ref (Durability.Wal.logged_bytes wal) in
   let write_snapshot ~upto =
-    (match d.policy with
-     | Some p when !last_full > 0 && !deltas_since_full < p.max_delta_chain ->
-       Durability.Snapshot.write_delta storage ~base_seq:!last_snap ~seq:upto
-         !engine;
-       incr deltas_since_full
-     | _ ->
-       Durability.Snapshot.write storage ~seq:upto !engine;
-       last_full := upto;
-       deltas_since_full := 0);
+    let p = d.policy in
+    if !last_full > 0 && !deltas_since_full < p.max_delta_chain then begin
+      Durability.Snapshot.write_delta storage ~base_seq:!last_snap ~seq:upto
+        !engine;
+      incr deltas_since_full
+    end
+    else begin
+      Durability.Snapshot.write storage ~seq:upto !engine;
+      last_full := upto;
+      deltas_since_full := 0
+    end;
     (* the capture is durable (tmp -> sync -> rename): only now may the
        dirty set restart, and only now may covered files be retired *)
     Engine.snapshot_written !engine;
     last_snap := upto;
     bytes_mark := Durability.Wal.logged_bytes wal;
     Durability.Wal.truncate_before wal ~seq:upto;
-    match d.policy with
-    | Some _ ->
-      ignore (Durability.Snapshot.compact storage ~keep:d.snapshots_kept)
-    | None -> Durability.Snapshot.truncate_old storage ~keep:d.snapshots_kept
+    ignore (Durability.Snapshot.compact storage ~keep:d.snapshots_kept)
   in
   let persist =
     {
@@ -220,11 +206,8 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
         (fun ~upto ->
           Durability.Wal.flush wal;
           let due =
-            match d.policy with
-            | Some p ->
-              Durability.Wal.logged_bytes wal - !bytes_mark
-              >= p.wal_bytes_per_snapshot
-            | None -> upto - !last_snap >= d.snapshot_every
+            Durability.Wal.logged_bytes wal - !bytes_mark
+            >= d.policy.wal_bytes_per_snapshot
           in
           if due && upto > !last_snap then write_snapshot ~upto);
       snapshot = (fun () -> Durability.Snapshot.load_chain_bytes storage);
@@ -243,8 +226,8 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
           engine := Engine.of_snapshot ?config:engine_config snap;
           (* persist the received snapshot: it is this replica's new
              recovery baseline, and its own log below [seq] is stale.
-             The received bytes may be an older format, so the next
-             policy snapshot must be full ([last_full] stays 0). *)
+             The dirty set was not cleared against these bytes, so the
+             next snapshot must be full ([last_full] becomes 0). *)
           Durability.Snapshot.write_bytes storage ~seq snapshot;
           last_snap := seq;
           last_full := 0;

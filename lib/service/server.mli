@@ -18,10 +18,10 @@ val apply : Engine.t -> string -> string
     on [engine] and returns the encoded response.  Malformed commands yield
     an encoded [Rejected] response rather than raising. *)
 
-(** Amortized incremental snapshotting (DESIGN.md §16).  With a policy,
-    snapshots trigger on WAL bytes accumulated since the last one (so the
-    trigger tracks write volume, not command count) and between full
-    snapshots the replica writes {e deltas} — only the slots dirtied
+(** Amortized incremental snapshotting (DESIGN.md §16), the one snapshot
+    trigger: snapshots fire on WAL bytes accumulated since the last one
+    (so the trigger tracks write volume, not command count) and between
+    full snapshots the replica writes {e deltas} — only the slots dirtied
     since the previous capture — keeping both snapshot cost and restart
     cost bounded as history grows.  Every [max_delta_chain] deltas (and
     always first after a recovery or state-transfer install) a full
@@ -43,23 +43,19 @@ type durability = {
       (** each replica's private storage directory; must return the {e
           same} storage for the same address across restarts *)
   wal_config : Durability.Wal.config;
-  snapshot_every : int;  (** snapshot + truncate the log every N commands *)
-  snapshots_kept : int;  (** old snapshots retained as fallbacks *)
-  policy : snapshot_policy option;
-      (** when set, replaces the command-count trigger with the WAL-bytes
-          trigger and enables incremental snapshots + compaction *)
+  snapshots_kept : int;  (** full snapshots retained as fallbacks *)
+  policy : snapshot_policy;  (** when to snapshot, and how many deltas *)
 }
 
 val durability :
   ?wal_config:Durability.Wal.config ->
-  ?snapshot_every:int ->
   ?snapshots_kept:int ->
   ?policy:snapshot_policy ->
   storage_of:(Kronos_transport.Transport.addr -> Durability.Storage.t) ->
   unit ->
   durability
-(** Defaults: {!Durability.Wal.default_config}, snapshot every 1024
-    commands, 2 snapshots kept, no incremental policy. *)
+(** Defaults: {!Durability.Wal.default_config}, 2 full snapshots kept,
+    [snapshot_policy ()]. *)
 
 (** A running replicated Kronos deployment over any transport.
 

@@ -4,8 +4,6 @@ type request =
   | Create_event
   | Acquire_ref of Event_id.t
   | Release_ref of Event_id.t
-  | Query_order of (Event_id.t * Event_id.t) list
-  | Assign_order of Order.spec list
   | Guarded_assign of {
       guards : (Event_id.t * Event_id.t * Order.relation) list;
       specs : Order.spec list;
@@ -21,8 +19,6 @@ type response =
   | Event_created of Event_id.t
   | Ref_acquired
   | Ref_released of int
-  | Orders of Order.relation list
-  | Outcomes of Order.outcome list
   | Rejected of Order.assign_error
   | Proof_is of {
       relation : Order.relation;
@@ -119,14 +115,8 @@ let encode_request r =
    | Create_event -> Codec.put_u8 b 0
    | Acquire_ref e -> Codec.put_u8 b 1; put_event b e
    | Release_ref e -> Codec.put_u8 b 2; put_event b e
-   | Query_order pairs ->
-     Codec.put_u8 b 3;
-     Codec.put_list b (fun b (e1, e2) -> put_event b e1; put_event b e2) pairs
-   | Assign_order reqs ->
-     Codec.put_u8 b 4;
-     (* field order matches the pre-[Order.spec] tuple encoding byte for
-        byte, so the wire format is unchanged *)
-     Codec.put_list b put_spec reqs
+   (* tags 3 and 4 stay unassigned: earlier builds sent epoch-less
+      queries and assigns under them, which must decode as bad tags *)
    | Guarded_assign { guards; specs } ->
      Codec.put_u8 b 5;
      Codec.put_list b
@@ -156,13 +146,6 @@ let decode_request s =
     | 0 -> Create_event
     | 1 -> Acquire_ref (get_event d)
     | 2 -> Release_ref (get_event d)
-    | 3 ->
-      Query_order
-        (Codec.get_list d (fun d ->
-             let e1 = get_event d in
-             let e2 = get_event d in
-             (e1, e2)))
-    | 4 -> Assign_order (Codec.get_list d get_spec)
     | 5 ->
       let guards =
         Codec.get_list d (fun d ->
@@ -198,8 +181,7 @@ let encode_response r =
    | Event_created e -> Codec.put_u8 b 0; put_event b e
    | Ref_acquired -> Codec.put_u8 b 1
    | Ref_released n -> Codec.put_u8 b 2; Codec.put_u32 b n
-   | Orders rels -> Codec.put_u8 b 3; Codec.put_list b put_relation rels
-   | Outcomes outs -> Codec.put_u8 b 4; Codec.put_list b put_outcome outs
+   (* tags 3 and 4 stay unassigned, as for requests *)
    | Rejected e -> Codec.put_u8 b 5; put_error b e
    | Proof_is { relation; cert } ->
      Codec.put_u8 b 6;
@@ -228,8 +210,6 @@ let decode_response s =
     | 0 -> Event_created (get_event d)
     | 1 -> Ref_acquired
     | 2 -> Ref_released (Codec.get_u32 d)
-    | 3 -> Orders (Codec.get_list d get_relation)
-    | 4 -> Outcomes (Codec.get_list d get_outcome)
     | 5 -> Rejected (get_error d)
     | 6 ->
       let relation = get_relation d in
@@ -261,8 +241,6 @@ let pp_request ppf = function
   | Create_event -> Format.pp_print_string ppf "create_event"
   | Acquire_ref e -> Format.fprintf ppf "acquire_ref(%a)" Event_id.pp e
   | Release_ref e -> Format.fprintf ppf "release_ref(%a)" Event_id.pp e
-  | Query_order pairs -> Format.fprintf ppf "query_order(%d pairs)" (List.length pairs)
-  | Assign_order reqs -> Format.fprintf ppf "assign_order(%d pairs)" (List.length reqs)
   | Guarded_assign { guards; specs } ->
     Format.fprintf ppf "guarded_assign(%d guards, %d pairs)"
       (List.length guards) (List.length specs)
@@ -278,16 +256,6 @@ let pp_response ppf = function
   | Event_created e -> Format.fprintf ppf "event_created(%a)" Event_id.pp e
   | Ref_acquired -> Format.pp_print_string ppf "ref_acquired"
   | Ref_released n -> Format.fprintf ppf "ref_released(%d collected)" n
-  | Orders rels ->
-    Format.fprintf ppf "orders(%a)"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-         Order.pp_relation)
-      rels
-  | Outcomes outs ->
-    Format.fprintf ppf "outcomes(%a)"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-         Order.pp_outcome)
-      outs
   | Rejected e -> Format.fprintf ppf "rejected(%a)" Order.pp_assign_error e
   | Proof_is { relation; cert } ->
     Format.fprintf ppf "proof_is(%a, %s)" Order.pp_relation relation
@@ -308,7 +276,7 @@ let pp_response ppf = function
       outs
 
 let is_read_only = function
-  | Query_order _ | Query_proof _ | Query_order_at _ -> true
-  | Create_event | Acquire_ref _ | Release_ref _ | Assign_order _
-  | Assign_order_at _ | Guarded_assign _ ->
+  | Query_proof _ | Query_order_at _ -> true
+  | Create_event | Acquire_ref _ | Release_ref _ | Assign_order_at _
+  | Guarded_assign _ ->
     false

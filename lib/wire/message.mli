@@ -2,7 +2,13 @@
     API call (Table 1 of the paper) and the matching responses.
 
     Encodings are self-delimiting, so messages can be concatenated inside a
-    framed transport stream (see {!Frame}). *)
+    framed transport stream (see {!Frame}).
+
+    Every query and assign reply carries the view epoch (DESIGN.md §14).
+    The epoch-less query and assign messages of earlier builds (request
+    and response tags 3 and 4) are no longer part of the protocol: they
+    decode as bad tags, which [Server.apply] answers with the canonical
+    malformed-command rejection. *)
 
 open Kronos
 
@@ -10,18 +16,17 @@ type request =
   | Create_event
   | Acquire_ref of Event_id.t
   | Release_ref of Event_id.t
-  | Query_order of (Event_id.t * Event_id.t) list
-  | Assign_order of Order.spec list
   | Guarded_assign of {
       guards : (Event_id.t * Event_id.t * Order.relation) list;
       specs : Order.spec list;
     }
       (** atomically check that each guard pair currently has the expected
-          relation, then apply [specs] as one {!Assign_order} batch; any
-          mismatch rejects with [Order.Guard_failed] and no side effects
-          (the federation layer's cross-shard commit primitive) *)
+          relation, then apply [specs] as one {!Assign_order_at} batch;
+          any mismatch rejects with [Order.Guard_failed] and no side
+          effects (the federation layer's cross-shard commit primitive).
+          The reply is an {!Outcomes_at}, like {!Assign_order_at}'s *)
   | Query_proof of (Event_id.t * Event_id.t)
-      (** like a one-pair {!Query_order}, but when the answer is
+      (** like a one-pair {!Query_order_at}, but when the answer is
           [Before]/[After] the server also attempts a happens-before
           certificate the client can check against the endpoint
           commitments alone (DESIGN.md §13) *)
@@ -29,13 +34,13 @@ type request =
       min_epoch : int64;
       pairs : (Event_id.t * Event_id.t) list;
     }
-      (** epoch-aware {!Query_order} (DESIGN.md §14): the reply is an
-          {!Orders_at} carrying the view epoch it was answered at.
-          [min_epoch] is the client's consistency demand — a server whose
-          view is older answers anyway (its epoch exposes the staleness)
-          and the client escalates to a fresher replica *)
+      (** order query (DESIGN.md §14): the reply is an {!Orders_at}
+          carrying the view epoch it was answered at.  [min_epoch] is the
+          client's consistency demand — a server whose view is older
+          answers anyway (its epoch exposes the staleness) and the client
+          escalates to a fresher replica; [0] demands nothing *)
   | Assign_order_at of Order.spec list
-      (** {!Assign_order} whose reply ({!Outcomes_at}) carries the
+      (** atomic ordering batch whose reply ({!Outcomes_at}) carries the
           post-apply epoch, so the caller can demand read-your-writes
           ([`At_least]) from subsequent queries *)
 
@@ -43,8 +48,6 @@ type response =
   | Event_created of Event_id.t
   | Ref_acquired
   | Ref_released of int   (** number of events garbage-collected *)
-  | Orders of Order.relation list
-  | Outcomes of Order.outcome list
   | Rejected of Order.assign_error
   | Proof_is of {
       relation : Order.relation;
@@ -58,8 +61,9 @@ type response =
       (** answer to {!Query_order_at}: the relations plus the view epoch
           they were computed against *)
   | Outcomes_at of { epoch : int64; outs : Order.outcome list }
-      (** answer to {!Assign_order_at}: the outcomes plus the engine epoch
-          after the batch applied (deterministic, so replicas agree) *)
+      (** answer to {!Assign_order_at} and {!Guarded_assign}: the outcomes
+          plus the engine epoch after the batch applied (deterministic, so
+          replicas agree) *)
 
 val encode_request : request -> string
 val decode_request : string -> request
@@ -77,5 +81,5 @@ val pp_response : Format.formatter -> response -> unit
 
 val is_read_only : request -> bool
 (** [true] for requests that never mutate the event dependency graph
-    ({!Query_order}, {!Query_proof}, {!Query_order_at}); these may be
+    ({!Query_proof}, {!Query_order_at}); these may be
     served by stale replicas (Section 2.5). *)

@@ -1,10 +1,10 @@
 (* Verifiable causality (DESIGN.md §13): the SHA-256 primitive, the
    commitment chains the graph maintains, prover/verifier roundtrips over
    random DAGs, the tamper-injection suite (flipped digests, truncated and
-   spliced paths, reordered suffixes — all rejected), snapshot v3 and the
-   v1/v2 upgrade differential, the verified read end-to-end on the simnet
-   service and over real loopback TCP, and audit pinning against a
-   byzantine replica that rewrote history. *)
+   spliced paths, reordered suffixes — all rejected), snapshot round trips
+   and the links-stripped chain rebuild, the verified read end-to-end on
+   the simnet service and over real loopback TCP, and audit pinning
+   against a byzantine replica that rewrote history. *)
 
 open Kronos
 module Certificate = Kronos_certify.Certificate
@@ -412,97 +412,19 @@ let test_snapshot_v3_roundtrip () =
     live;
   Alcotest.(check bool) "restored engine proves" true (!proved > 0)
 
-(* Re-encode a v3 snapshot as the byte-exact v1 and v2 formats (the same
-   construction test_durability uses for v1). *)
-let downgrade_bytes ~version:v (s : Engine.snapshot) =
-  let module Codec = Kronos_wire.Codec in
-  let module Crc32 = Kronos_durability.Crc32 in
-  let g = s.Engine.snap_graph in
-  let e = Codec.encoder () in
-  let put_arr a =
-    Codec.put_u32 e (Array.length a);
-    Array.iter (fun x -> Codec.put_u32 e x) a
-  in
-  Codec.put_i64 e 7L;
-  Codec.put_u32 e g.Graph.snap_next_slot;
-  Codec.put_u32 e (Array.length g.Graph.snap_refcount);
-  Array.iter (fun rc -> Codec.put_u32 e (rc + 1)) g.Graph.snap_refcount;
-  put_arr g.Graph.snap_gen;
-  Codec.put_u32 e (Array.length g.Graph.snap_succ);
-  Array.iter put_arr g.Graph.snap_succ;
-  put_arr g.Graph.snap_free;
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_traversals);
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_visited_total);
-  if v >= 2 then begin
-    match g.Graph.snap_rank with
-    | Some ranks ->
-      Codec.put_bool e true;
-      Codec.put_u32 e (Array.length ranks);
-      Array.iter (fun r -> Codec.put_i64 e (Int64.of_int r)) ranks;
-      Codec.put_i64 e (Int64.of_int g.Graph.snap_next_rank)
-    | None -> Codec.put_bool e false
-  end;
-  List.iter
-    (fun x -> Codec.put_i64 e (Int64.of_int x))
-    [
-      s.Engine.snap_creates; s.Engine.snap_queries; s.Engine.snap_assigns;
-      s.Engine.snap_aborted_batches; s.Engine.snap_reversals;
-      s.Engine.snap_collected;
-    ];
-  let body = Codec.to_string e in
-  let b = Buffer.create (String.length body + 10) in
-  Buffer.add_string b "KSNP";
-  Buffer.add_uint16_be b v;
-  Buffer.add_int32_be b (Crc32.string body);
-  Buffer.add_string b body;
-  Buffer.contents b
-
-let prop_upgrade_chain =
+(* A capture without links — what a digest-disabled engine writes —
+   restored into a digest-enabled engine rebuilds the commitment chains
+   canonically from adjacency.  The rebuild must answer every query like
+   the original, agree across independent restores, survive a round trip
+   through its own linked capture unchanged, and prove orders whose
+   certificates verify. *)
+let prop_stripped_links_rebuild =
   let open QCheck2 in
-  Test.make ~name:"certify: v1/v2 snapshots upgrade to identical chains"
-    ~count:25
+  Test.make ~name:"links-stripped chain rebuild" ~count:25
     Gen.(int_range 0 10_000)
     (fun seed ->
       let engine, ids = build_engine ~seed ~n:20 in
       let snap = Engine.to_snapshot engine in
-      let restore v =
-        let _, decoded = Snapshot.decode (downgrade_bytes ~version:v snap) in
-        if v >= 2 && decoded.Engine.snap_graph.Graph.snap_rank = None then
-          Test.fail_report "v2 bytes lost the rank index";
-        if decoded.Engine.snap_graph.Graph.snap_links <> None then
-          Test.fail_reportf "v%d bytes carry links" v;
-        Engine.of_snapshot decoded
-      in
-      let r1 = restore 1 in
-      let r2 = restore 2 in
-      (* both rebuilds answer exactly like the original... *)
-      Array.iter
-        (fun a ->
-          Array.iter
-            (fun b ->
-              if not (Event_id.equal a b) then begin
-                let expect = Engine.query_order engine [ (a, b) ] in
-                if Engine.query_order r1 [ (a, b) ] <> expect then
-                  Test.fail_report "v1 restore diverges on a query";
-                if Engine.query_order r2 [ (a, b) ] <> expect then
-                  Test.fail_report "v2 restore diverges on a query"
-              end)
-            ids)
-        ids;
-      (* ...and rebuild the *same* canonical commitments, even though v1
-         re-derives ranks with Kahn's algorithm while v2 restores the
-         original index: the canonical fold order is rank-independent. *)
-      let c1 = live_commitments r1 ids in
-      let c2 = live_commitments r2 ids in
-      if List.length c1 = 0 then Test.fail_report "no live commitments";
-      if
-        not
-          (List.for_all2
-             (fun (e, a) (e', b) ->
-               Event_id.equal e e' && Chain_digest.equal a b)
-             c1 c2)
-      then Test.fail_report "v1 and v2 upgrades disagree on commitments";
-      (* a links-stripped v3 snapshot rebuilds the same canonical chains *)
       let stripped =
         {
           snap with
@@ -510,16 +432,52 @@ let prop_upgrade_chain =
             { snap.Engine.snap_graph with Graph.snap_links = None };
         }
       in
-      let r3 = Engine.of_snapshot stripped in
-      if
-        not
-          (List.for_all
-             (fun (e, a) ->
-               match Engine.commitment r3 e with
-               | Some b -> Chain_digest.equal a b
-               | None -> false)
-             c1)
-      then Test.fail_report "stripped v3 rebuild disagrees";
+      let _, decoded = Snapshot.decode (Snapshot.encode ~seq:7 stripped) in
+      if decoded.Engine.snap_graph.Graph.snap_links <> None then
+        Test.fail_report "stripped bytes carry links";
+      let r1 = Engine.of_snapshot decoded in
+      let r2 = Engine.of_snapshot stripped in
+      Array.iter
+        (fun a ->
+          Array.iter
+            (fun b ->
+              if
+                (not (Event_id.equal a b))
+                && Engine.query_order r1 [ (a, b) ]
+                   <> Engine.query_order engine [ (a, b) ]
+              then Test.fail_report "rebuilt engine diverges on a query")
+            ids)
+        ids;
+      let c1 = live_commitments r1 ids in
+      if c1 = [] then Test.fail_report "no live commitments";
+      let same_as r =
+        List.for_all
+          (fun (e, a) ->
+            match Engine.commitment r e with
+            | Some b -> Chain_digest.equal a b
+            | None -> false)
+          c1
+      in
+      if not (same_as r2) then
+        Test.fail_report "independent rebuilds disagree on commitments";
+      (* the rebuilt chains are persisted verbatim by the next capture *)
+      if not (same_as (Engine.of_snapshot (Engine.to_snapshot r1))) then
+        Test.fail_report "linked recapture of a rebuild re-anchors";
+      let g = Engine.current_view r1 in
+      let live = List.map fst c1 in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if (not (Event_id.equal a b)) && rel r1 a b = Order.Before then
+                match Prover.prove g ~source:a ~target:b with
+                | Some cert -> (
+                  match Verifier.verify cert with
+                  | Ok () -> ()
+                  | Error m -> Test.fail_reportf "rebuilt proof rejected: %s" m)
+                | None -> ())
+            live)
+        live;
       true)
 
 (* ---------- verified reads on the simnet service ---------- *)
@@ -748,7 +706,7 @@ let suites =
     ( "certify.snapshot",
       [
         Alcotest.test_case "v3 roundtrip" `Quick test_snapshot_v3_roundtrip;
-        QCheck_alcotest.to_alcotest prop_upgrade_chain;
+        QCheck_alcotest.to_alcotest prop_stripped_links_rebuild;
       ] );
     ( "certify.service",
       [

@@ -165,7 +165,7 @@ let workload ~seed ~n ~m =
   Array.iter
     (fun (u, v) ->
       let u, v = (min u v, max u v) in
-      push (Message.Assign_order [ Order.must_before ids.(u) ids.(v) ]))
+      push (Message.Assign_order_at [ Order.must_before ids.(u) ids.(v) ]))
     g.Graph_gen.edges;
   for i = 0 to n - 1 do
     if i mod 7 = 3 then push (Message.Release_ref ids.(i))
@@ -209,74 +209,11 @@ let prop_snapshot_round_trip =
       check_engines_agree "after more commands" ids reference restored;
       true)
 
-(* Snapshot files written before the rank index (format version 1) must
-   stay loadable.  A v1 file is the v2 body without the rank suffix under a
-   version-1 header; the decoder surfaces it as [snap_rank = None] and
-   [Graph.of_snapshot] rebuilds an equivalent rank assignment with Kahn's
-   algorithm, so every query answer and counter is preserved. *)
-let test_snapshot_v1_compat () =
-  let module Codec = Kronos_wire.Codec in
-  let module Crc32 = Kronos_durability.Crc32 in
-  let ids, cmds = workload ~seed:17 ~n:12 ~m:20 in
-  let engine = Engine.create () in
-  List.iter (fun c -> ignore (Kronos_service.Server.apply engine c)) cmds;
-  let s = Engine.to_snapshot engine in
-  let g = s.Engine.snap_graph in
-  let e = Codec.encoder () in
-  let put_arr a =
-    Codec.put_u32 e (Array.length a);
-    Array.iter (fun x -> Codec.put_u32 e x) a
-  in
-  Codec.put_i64 e 42L;
-  Codec.put_u32 e g.Graph.snap_next_slot;
-  Codec.put_u32 e (Array.length g.Graph.snap_refcount);
-  Array.iter (fun rc -> Codec.put_u32 e (rc + 1)) g.Graph.snap_refcount;
-  put_arr g.Graph.snap_gen;
-  Codec.put_u32 e (Array.length g.Graph.snap_succ);
-  Array.iter put_arr g.Graph.snap_succ;
-  put_arr g.Graph.snap_free;
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_traversals);
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_visited_total);
-  List.iter
-    (fun v -> Codec.put_i64 e (Int64.of_int v))
-    [
-      s.Engine.snap_creates; s.Engine.snap_queries; s.Engine.snap_assigns;
-      s.Engine.snap_aborted_batches; s.Engine.snap_reversals;
-      s.Engine.snap_collected;
-    ];
-  let body = Codec.to_string e in
-  let b = Buffer.create (String.length body + 10) in
-  Buffer.add_string b "KSNP";
-  Buffer.add_uint16_be b 1;
-  Buffer.add_int32_be b (Crc32.string body);
-  Buffer.add_string b body;
-  (* [encode_at ~fmt:1] must reproduce this independently constructed v1
-     file bit-for-bit — the cross-version matrix and the nemesis harness
-     rely on it writing genuine old-format files. *)
-  Alcotest.(check bool) "encode_at reproduces the hand-rolled v1 bytes" true
-    (String.equal (Buffer.contents b) (Snapshot.encode_at ~fmt:1 ~seq:42 s));
-  let seq, snap = Snapshot.decode (Buffer.contents b) in
-  Alcotest.(check int) "v1 seq" 42 seq;
-  Alcotest.(check bool) "v1 decodes without ranks" true
-    (snap.Engine.snap_graph.Graph.snap_rank = None);
-  let restored = Engine.of_snapshot snap in
-  check_engines_agree "v1 snapshot" ids engine restored;
-  (* the rebuilt ranks must satisfy the index invariant on every edge *)
-  let rg = Engine.graph restored in
-  Graph.fold_edges rg
-    (fun () u v ->
-      match (Graph.rank rg u, Graph.rank rg v) with
-      | Some ru, Some rv ->
-        if ru >= rv then Alcotest.fail "rebuilt ranks violate edge invariant"
-      | _ -> Alcotest.fail "live event without rank")
-    ()
-
-(* Version-5 snapshots persist the chain decomposition behind the label
-   index.  The restore must install exactly the captured chains (labels are
-   recomputed, never stored), so index-only answers are identical before
-   and after; a chain-less body (what a v4 file decodes to) must rebuild a
-   decomposition deterministically; and a corrupted chain section must be
-   rejected rather than installed as an over-approximating index. *)
+(* Snapshots persist the chain decomposition behind the label index.  The
+   restore must install exactly the captured chains (labels are recomputed,
+   never stored), so index-only answers are identical before and after;
+   and a corrupted chain section must be rejected rather than installed as
+   an over-approximating index. *)
 let test_snapshot_v5_chains () =
   let ids, cmds = workload ~seed:23 ~n:12 ~m:20 in
   let engine = Engine.create () in
@@ -284,8 +221,6 @@ let test_snapshot_v5_chains () =
   let bytes = Snapshot.encode ~seq:7 (Engine.to_snapshot engine) in
   let seq, snap = Snapshot.decode bytes in
   Alcotest.(check int) "seq" 7 seq;
-  Alcotest.(check bool) "v5 carries chains" true
-    (snap.Engine.snap_graph.Graph.snap_chains <> None);
   let restored = Engine.of_snapshot snap in
   check_engines_agree "v5 snapshot" ids engine restored;
   Alcotest.(check int) "chain count preserved" (Engine.chain_count engine)
@@ -302,33 +237,19 @@ let test_snapshot_v5_chains () =
               (Graph.label_reachable g0 u v) (Graph.label_reachable g1 u v))
         ids)
     ids;
-  (* chain-less restore (the v4 decode surface) rebuilds and still agrees;
-     recapture so the counters reflect the queries just issued above *)
-  let snap2 = Engine.to_snapshot engine in
-  let chainless =
-    { snap2 with
-      Engine.snap_graph =
-        { snap2.Engine.snap_graph with Graph.snap_chains = None } }
-  in
-  check_engines_agree "chainless restore" ids engine
-    (Engine.of_snapshot chainless);
   (* a corrupt chain section must raise, not load *)
-  (match snap.Engine.snap_graph.Graph.snap_chains with
-   | None -> ()
-   | Some cs ->
-     let bad_of = Array.copy cs.Graph.cs_chain_of in
-     (try
-        ignore bad_of.(0);
-        bad_of.(0) <- 9999;
-        let bad =
-          { snap with
-            Engine.snap_graph =
-              { snap.Engine.snap_graph with
-                Graph.snap_chains = Some { cs with Graph.cs_chain_of = bad_of } } }
-        in
-        ignore (Engine.of_snapshot bad);
-        Alcotest.fail "corrupt chain section accepted"
-      with Invalid_argument _ -> ()))
+  let cs = snap.Engine.snap_graph.Graph.snap_chains in
+  let bad_of = Array.copy cs.Graph.cs_chain_of in
+  bad_of.(0) <- 9999;
+  let bad =
+    { snap with
+      Engine.snap_graph =
+        { snap.Engine.snap_graph with
+          Graph.snap_chains = { cs with Graph.cs_chain_of = bad_of } } }
+  in
+  match Engine.of_snapshot bad with
+  | _ -> Alcotest.fail "corrupt chain section accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_snapshot_files () =
   let _dir, storage = mem () in
@@ -341,29 +262,33 @@ let test_snapshot_files () =
     cmds;
   let final = List.length cmds in
   Snapshot.write storage ~seq:final engine;
-  (match Snapshot.load_latest storage with
-   | Some (seq, restored) ->
+  (match Snapshot.load_chain storage with
+   | Some (seq, restored, applied) ->
      Alcotest.(check int) "newest snapshot wins" final seq;
+     Alcotest.(check int) "full snapshot used directly" 0 applied;
      check_engines_agree "loaded snapshot" ids engine restored
    | None -> Alcotest.fail "snapshot missing");
-  (* corrupt the newest file: readers must fall back to the next older *)
+  (* fulls at 10, 20, 30 and 32: compaction keeps the newest two *)
+  Alcotest.(check int) "workload length" 32 final;
+  let removed = Snapshot.compact storage ~keep:2 in
+  let snaps =
+    List.filter
+      (fun n -> Filename.check_suffix n ".snap")
+      (storage.Storage.list_files ())
+  in
+  Alcotest.(check int) "compact keeps two" 2 (List.length snaps);
+  Alcotest.(check int) "compact reports what it retired" 2 removed;
+  (* corrupt the newest file: readers must fall back to the kept older one *)
   let newest = Snapshot.filename ~seq:final in
   storage.Storage.remove_file newest;
   let w = storage.Storage.open_append newest in
   w.Storage.append "KSNPgarbage";
   w.Storage.sync ();
   w.Storage.close ();
-  (match Snapshot.load_latest storage with
-   | Some (seq, _) ->
-     Alcotest.(check bool) "fell back past corruption" true (seq < final)
-   | None -> Alcotest.fail "no fallback snapshot");
-  Snapshot.truncate_old storage ~keep:1;
-  let snaps =
-    List.filter
-      (fun n -> Filename.check_suffix n ".snap")
-      (storage.Storage.list_files ())
-  in
-  Alcotest.(check int) "truncate_old keeps one" 1 (List.length snaps)
+  match Snapshot.load_chain storage with
+  | Some (seq, _, _) ->
+    Alcotest.(check bool) "fell back past corruption" true (seq < final)
+  | None -> Alcotest.fail "no fallback snapshot"
 
 (* Crash-restart recovery must reproduce the reference engine at {e every}
    prefix of the workload, across snapshot cadences and segment rotations. *)
@@ -390,7 +315,7 @@ let test_recovery_every_prefix () =
       if seq mod 5 = 0 then begin
         Snapshot.write storage ~seq engine;
         Wal.truncate_before wal ~seq;
-        Snapshot.truncate_old storage ~keep:2
+        ignore (Snapshot.compact storage ~keep:2)
       end
     done;
     Wal.sync wal;
@@ -444,102 +369,70 @@ let test_recovery_after_crash_loses_only_unsynced () =
 
 (* {1 Incremental snapshots (DESIGN.md §16)} *)
 
-(* Every supported snapshot format must encode, decode and restore to a
-   behaviourally identical engine, with exactly the sections its era
-   carried; out-of-range formats are refused at encode time. *)
-let test_snapshot_version_matrix () =
-  let ids, cmds = workload ~seed:41 ~n:14 ~m:24 in
-  let engine = Engine.create () in
-  List.iter (fun c -> ignore (Kronos_service.Server.apply engine c)) cmds;
-  for fmt = 1 to Snapshot.version do
-    (* recapture per format: [check_engines_agree] issues queries, so the
-       reference's counters move between iterations *)
-    let snap = Engine.to_snapshot engine in
-    let bytes = Snapshot.encode_at ~fmt ~seq:fmt snap in
-    let seq, decoded = Snapshot.decode bytes in
-    Alcotest.(check int) (Printf.sprintf "v%d seq" fmt) fmt seq;
-    Alcotest.(check bool)
-      (Printf.sprintf "v%d rank section" fmt)
-      (fmt >= 2)
-      (decoded.Engine.snap_graph.Graph.snap_rank <> None);
-    Alcotest.(check bool)
-      (Printf.sprintf "v%d chain section" fmt)
-      (fmt >= 5)
-      (decoded.Engine.snap_graph.Graph.snap_chains <> None);
-    check_engines_agree
-      (Printf.sprintf "v%d restore" fmt)
-      ids engine
-      (Engine.of_snapshot decoded)
-  done;
-  let snap = Engine.to_snapshot engine in
-  (try
-     ignore (Snapshot.encode_at ~fmt:0 ~seq:1 snap);
-     Alcotest.fail "format 0 accepted"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Snapshot.encode_at ~fmt:(Snapshot.version + 1) ~seq:1 snap);
-    Alcotest.fail "future format accepted"
-  with Invalid_argument _ -> ()
-
-(* Files of every vintage coexisting in one directory: recovery resolves
-   the newest head (a delta chained on a current full), and when the
-   newest links are corrupted it falls back across the version boundary
-   to a legacy file — restoring exactly that prefix's state. *)
-let test_mixed_version_recovery () =
+(* A current-format directory whose newest links rot: recovery resolves
+   the newest head (two deltas chained on a full), and as the head delta
+   and then the full under the surviving delta are corrupted it falls back
+   link by link — past a delta whose base is gone — to an older full,
+   restoring exactly that prefix's state.  A newer file of another format
+   version (what a build before this format wrote) is skipped like any
+   other unreadable file. *)
+let test_corrupt_head_fallback () =
   let ids, cmds = workload ~seed:41 ~n:14 ~m:24 in
   let cmds = Array.of_list cmds in
   let total = Array.length cmds in
   Alcotest.(check int) "workload length" 40 total;
   let _dir, storage = mem () in
   let engine = Engine.create () in
-  let legacy = [ (8, 1); (16, 2); (24, 3); (32, 4) ] in
   Array.iteri
     (fun i c ->
       ignore (Kronos_service.Server.apply engine c);
       let seq = i + 1 in
-      (match List.assoc_opt seq legacy with
-       | Some fmt ->
-         Snapshot.write_bytes storage ~seq
-           (Snapshot.encode_at ~fmt ~seq (Engine.to_snapshot engine))
-       | None -> ());
-      if seq = 36 then begin
+      if seq = 8 || seq = 16 || seq = 24 then
         Snapshot.write storage ~seq engine;
-        Engine.snapshot_written engine
-      end)
+      if seq = 32 || seq = total then
+        Snapshot.write_delta storage ~base_seq:(seq - 8) ~seq engine;
+      if seq >= 24 && seq mod 8 = 0 then Engine.snapshot_written engine)
     cmds;
-  Snapshot.write_delta storage ~base_seq:36 ~seq:total engine;
-  Engine.snapshot_written engine;
-  (match Snapshot.load_chain storage with
-   | Some (seq, restored, applied) ->
-     Alcotest.(check int) "newest head wins over legacy files" total seq;
-     Alcotest.(check int) "one delta composed" 1 applied;
-     check_engines_agree "mixed directory restore" ids engine restored
-   | None -> Alcotest.fail "mixed directory did not resolve");
-  (* corrupt the delta head and its full base: the resolver must cross
-     back into the legacy files and land on the v4 state at 32 *)
-  List.iter
-    (fun name ->
-      storage.Storage.remove_file name;
-      let w = storage.Storage.open_append name in
-      w.Storage.append "KSNPbitrot";
-      w.Storage.sync ();
-      w.Storage.close ())
-    [ Snapshot.delta_filename ~seq:total; Snapshot.filename ~seq:36 ];
-  let reference = Engine.create () in
-  for i = 0 to 31 do
-    ignore (Kronos_service.Server.apply reference cmds.(i))
-  done;
-  match Snapshot.load_chain storage with
-  | Some (seq, restored, applied) ->
-    Alcotest.(check int) "fell back to the v4 file" 32 seq;
-    Alcotest.(check int) "no deltas on the legacy path" 0 applied;
-    check_engines_agree "legacy fallback restore" ids reference restored
-  | None -> Alcotest.fail "legacy fallback did not resolve"
+  (* a newer full in another format version: same body, header says v4 *)
+  let foreign =
+    Bytes.of_string (Snapshot.encode ~seq:48 (Engine.to_snapshot engine))
+  in
+  Bytes.set_uint16_be foreign 4 4;
+  Snapshot.write_bytes storage ~seq:48 (Bytes.to_string foreign);
+  (match Snapshot.decode (Bytes.to_string foreign) with
+   | _ -> Alcotest.fail "a v4 header decoded"
+   | exception Kronos_wire.Codec.Decode_error _ -> ());
+  let reference_at n =
+    let r = Engine.create () in
+    for i = 0 to n - 1 do
+      ignore (Kronos_service.Server.apply r cmds.(i))
+    done;
+    r
+  in
+  let expect what ~seq ~applied =
+    match Snapshot.load_chain storage with
+    | Some (s, restored, a) ->
+      Alcotest.(check int) (what ^ ": head") seq s;
+      Alcotest.(check int) (what ^ ": deltas composed") applied a;
+      check_engines_agree what ids (reference_at seq) restored
+    | None -> Alcotest.failf "%s: nothing resolved" what
+  in
+  let rot name =
+    storage.Storage.remove_file name;
+    let w = storage.Storage.open_append name in
+    w.Storage.append "KSNPbitrot";
+    w.Storage.sync ();
+    w.Storage.close ()
+  in
+  expect "intact chain" ~seq:total ~applied:2;
+  rot (Snapshot.delta_filename ~seq:total);
+  expect "head delta rotten" ~seq:32 ~applied:1;
+  rot (Snapshot.filename ~seq:24);
+  expect "base full rotten" ~seq:16 ~applied:0
 
 (* A delta captures exactly the slots dirtied since the base was written:
    composing it back onto the base reproduces the live engine, the wire
-   encoding round-trips, and bases missing the sections deltas overlay
-   (legacy decodes) are refused rather than silently mis-composed. *)
+   encoding round-trips, and a flipped bit is caught by the checksum. *)
 let test_delta_round_trip () =
   let ids, cmds = workload ~seed:29 ~n:12 ~m:18 in
   let cmds = Array.of_list cmds in
@@ -564,17 +457,6 @@ let test_delta_round_trip () =
   Alcotest.(check int) "delta seq" (Array.length cmds) seq;
   let composed = Engine.of_snapshot (Engine.apply_delta base decoded) in
   check_engines_agree "base + delta equals live engine" ids engine composed;
-  (* a base that decoded without ranks (a legacy file) cannot anchor a
-     delta chain *)
-  let crippled =
-    { base with
-      Engine.snap_graph =
-        { base.Engine.snap_graph with Graph.snap_rank = None } }
-  in
-  (try
-     ignore (Engine.apply_delta crippled decoded);
-     Alcotest.fail "delta composed onto a rank-less base"
-   with Invalid_argument _ -> ());
   (* corrupting the encoding must be detected by the checksum *)
   let flipped = Bytes.of_string bytes in
   Bytes.set flipped (Bytes.length flipped - 1)
@@ -583,6 +465,62 @@ let test_delta_round_trip () =
     ignore (Snapshot.decode_delta (Bytes.to_string flipped));
     Alcotest.fail "corrupt delta decoded"
   with Kronos_wire.Codec.Decode_error _ -> ()
+
+(* A delta is CRC-checked but its counts are not: one that claims to grow
+   the slot space by more slots than it carries (no genuine delta does —
+   every slot allocated after the base is dirty) must be refused before
+   the composition sizes anything by it, and recovery must fall back to
+   the full snapshot under it.  [0xFFFF_FFFF] slots would otherwise ask
+   for arrays of four billion entries. *)
+let test_delta_slot_bound () =
+  let _ids, cmds = workload ~seed:37 ~n:12 ~m:18 in
+  let cmds = Array.of_list cmds in
+  let _dir, storage = mem () in
+  let engine = Engine.create () in
+  for i = 0 to 9 do
+    ignore (Kronos_service.Server.apply engine cmds.(i))
+  done;
+  let base_slots =
+    (Engine.to_snapshot engine).Engine.snap_graph.Graph.snap_next_slot
+  in
+  Snapshot.write storage ~seq:10 engine;
+  Engine.snapshot_written engine;
+  for i = 10 to Array.length cmds - 1 do
+    ignore (Kronos_service.Server.apply engine cmds.(i))
+  done;
+  let genuine = Engine.to_delta engine in
+  let gd = genuine.Engine.delta_graph in
+  Alcotest.(check bool) "a genuine delta carries every new slot" true
+    (gd.Graph.d_next_slot - base_slots <= Array.length gd.Graph.d_slots);
+  let forged next_slot =
+    { genuine with
+      Engine.delta_graph = { gd with Graph.d_next_slot = next_slot } }
+  in
+  let plant d =
+    let name = Snapshot.delta_filename ~seq:20 in
+    storage.Storage.remove_file name;
+    let w = storage.Storage.open_append name in
+    w.Storage.append (Snapshot.encode_delta ~base_seq:10 ~seq:20 d);
+    w.Storage.sync ();
+    w.Storage.close ()
+  in
+  plant genuine;
+  (match Snapshot.load_chain storage with
+   | Some (seq, _, applied) ->
+     Alcotest.(check int) "genuine delta resolves" 20 seq;
+     Alcotest.(check int) "genuine delta composed" 1 applied
+   | None -> Alcotest.fail "genuine delta did not resolve");
+  List.iter
+    (fun next_slot ->
+      plant (forged next_slot);
+      match Snapshot.load_chain storage with
+      | Some (seq, _, applied) ->
+        Alcotest.(check int)
+          (Printf.sprintf "d_next_slot %d: full head resolves" next_slot)
+          10 seq;
+        Alcotest.(check int) "no delta composed" 0 applied
+      | None -> Alcotest.fail "forged delta destroyed the full snapshot")
+    [ base_slots + Array.length gd.Graph.d_slots + 1; 0xFFFF_FFFF ]
 
 (* Restart over a full + delta-chain + WAL-tail directory: recovery walks
    the chain, replays exactly the uncovered suffix, and reports how much
@@ -717,19 +655,17 @@ let suites =
           test_wal_rotation_and_truncation;
         Alcotest.test_case "wal sync policies" `Quick test_wal_sync_policies;
         QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
-        Alcotest.test_case "snapshot v1 compatibility" `Quick
-          test_snapshot_v1_compat;
         Alcotest.test_case "snapshot v5 chains" `Quick test_snapshot_v5_chains;
         Alcotest.test_case "snapshot files" `Quick test_snapshot_files;
         Alcotest.test_case "recovery at every prefix" `Quick
           test_recovery_every_prefix;
         Alcotest.test_case "recovery after crash" `Quick
           test_recovery_after_crash_loses_only_unsynced;
-        Alcotest.test_case "snapshot version matrix" `Quick
-          test_snapshot_version_matrix;
-        Alcotest.test_case "mixed-version recovery" `Quick
-          test_mixed_version_recovery;
+        Alcotest.test_case "corrupt head falls back" `Quick
+          test_corrupt_head_fallback;
         Alcotest.test_case "delta round trip" `Quick test_delta_round_trip;
+        Alcotest.test_case "delta slot count bounded" `Quick
+          test_delta_slot_bound;
         Alcotest.test_case "delta chain recovery" `Quick
           test_delta_chain_recovery;
         Alcotest.test_case "torn delta write + compaction" `Quick

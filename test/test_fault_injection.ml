@@ -167,7 +167,7 @@ type durable_env = {
   disks : (Net.addr, Storage.Memory.dir) Hashtbl.t;
 }
 
-let make_durable_env ?(seed = 21L) ?wal_config ?snapshot_every () =
+let make_durable_env ?(seed = 21L) ?wal_config ?policy () =
   let sim = Sim.create ~seed () in
   let net = Sim_transport.of_net (Net.create sim) in
   let disks : (Net.addr, Storage.Memory.dir) Hashtbl.t = Hashtbl.create 8 in
@@ -182,7 +182,7 @@ let make_durable_env ?(seed = 21L) ?wal_config ?snapshot_every () =
     in
     Storage.Memory.storage dir
   in
-  let durability = Server.durability ?wal_config ?snapshot_every ~storage_of () in
+  let durability = Server.durability ?wal_config ?policy ~storage_of () in
   let cluster =
     Server.deploy ~net ~coordinator:coordinator_addr ~replicas:[ 0; 1; 2 ]
       ~durability ~ping_interval:0.1 ~failure_timeout:0.35 ()
@@ -286,7 +286,8 @@ let test_durable_restart_far_behind_installs_snapshot () =
   let env =
     make_durable_env
       ~wal_config:{ Kronos_durability.Wal.segment_bytes = 256; sync = Always }
-      ~snapshot_every:4 ()
+      ~policy:(Server.snapshot_policy ~wal_bytes_per_snapshot:160 ())
+      ()
   in
   let finished = ref false in
   run_write_workload env ~n:6 (fun _ -> finished := true);

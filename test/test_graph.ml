@@ -242,8 +242,7 @@ let make_rank_differential ~max_chains name =
         (2, Gen.map (fun a -> `Release a) (Gen.int_bound 999));
         (1, Gen.return `Rollback);
         (1, Gen.return `Snapshot);
-        (1, Gen.return `Legacy_snapshot);
-        (1, Gen.return `Chainless_snapshot);
+        (1, Gen.return `Committed_rollback);
       ]
   in
   Test.make ~name ~count:120
@@ -406,21 +405,23 @@ let make_rank_differential ~max_chains name =
            | `Snapshot ->
              g := Graph.of_snapshot ~max_chains (Graph.to_snapshot !g);
              last_edge := None
-           | `Legacy_snapshot ->
-             (* v1–v3 on disk: no rank index, no chains — both rebuild *)
-             let s = Graph.to_snapshot !g in
-             g :=
-               Graph.of_snapshot ~max_chains
-                 { s with Graph.snap_rank = None; snap_next_rank = 0;
-                   snap_chains = None };
-             last_edge := None
-           | `Chainless_snapshot ->
-             (* v4 on disk: rank survives, chains rebuilt deterministically *)
-             let s = Graph.to_snapshot !g in
-             g :=
-               Graph.of_snapshot ~max_chains
-                 { s with Graph.snap_chains = None };
-             last_edge := None);
+           | `Committed_rollback -> (
+               (* seal the journal first: the rollback then finds no group
+                  for its edge and takes the deterministic full label
+                  rebuild, the out-of-protocol path *)
+               match !last_edge with
+               | None -> ()
+               | Some (u, v) ->
+                 Graph.commit_batch !g;
+                 let before = Graph.label_rebuild_count !g in
+                 Graph.remove_last_edge !g ids.(u) ids.(v);
+                 if Graph.label_rebuild_count !g <> before + 1 then
+                   Test.fail_reportf
+                     "step %d: committed rollback skipped the label rebuild"
+                     step;
+                 succs.(u) <- List.filter (fun x -> x <> v) succs.(u);
+                 indeg.(v) <- indeg.(v) - 1;
+                 last_edge := None));
           check_agree step)
         ops;
       true)

@@ -44,7 +44,8 @@ let test_kill_and_rejoin () =
       d
   in
   let durability =
-    Server.durability ~snapshot_every:16
+    Server.durability
+      ~policy:(Server.snapshot_policy ~wal_bytes_per_snapshot:640 ())
       ~storage_of:(fun a -> Storage.Memory.storage (dir_of a))
       ()
   in

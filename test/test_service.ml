@@ -179,74 +179,39 @@ let test_malformed_command_rejected () =
   | Kronos_wire.Message.Rejected (Order.Unknown_event _) -> ()
   | _ -> Alcotest.fail "expected rejection of malformed command"
 
-(* Mixed-version cluster: a current client against a server predating the
-   epoch-stamped wire tags.  The "old server" applies everything like
-   today's [Server.apply] except that the stamped requests draw the
-   canonical unparseable rejection — exactly what a pre-epoch decoder's
-   [Decode_error] turned into.  The client's first assign must fall back
-   to the legacy encoding (the old server applied nothing for the stamped
-   attempt), and the downgrade is latched: later batches skip the stamped
-   attempt entirely. *)
-let test_assign_legacy_fallback () =
-  let module Message = Kronos_wire.Message in
-  let module Chain = Kronos_replication.Chain in
-  let sim = Sim.create ~seed:11L () in
-  let net = Kronos_transport.Sim_transport.of_net (Net.create sim) in
-  let engine = Engine.create () in
-  let stamped = ref 0 and legacy = ref 0 in
-  let old_apply cmd =
-    match Message.decode_request cmd with
-    | Message.Assign_order_at _ | Message.Query_order_at _ ->
-      incr stamped;
-      Message.encode_response
-        (Message.Rejected (Order.Unknown_event Event_id.none))
-    | Message.Assign_order _ ->
-      incr legacy;
-      Server.apply engine cmd
-    | _ -> Server.apply engine cmd
-    | exception _ -> Server.apply engine cmd
+(* A guarded assign's ack carries the post-apply epoch, like a plain
+   assign's: after it, [`At_least (last_epoch c)] covers the guarded write,
+   so a read-your-writes query can never be answered by a view that
+   predates it. *)
+let test_guarded_assign_epoch () =
+  let env = make_env () in
+  let a = ok (await env (Client.create_event env.client)) in
+  let b = ok (await env (Client.create_event env.client)) in
+  let outs =
+    ok
+      (await env
+         (Client.guarded_assign env.client
+            ~guards:[ (a, b, Order.Concurrent) ]
+            [ Order.must_before a b ]))
   in
-  let (_ : Chain.Replica.t) =
-    Chain.Replica.create ~net ~addr:1 ~apply:old_apply
-      ~config:{ Chain.version = 0; chain = [] } ()
+  Alcotest.(check (list outcome)) "guarded batch applied" [ Order.Applied ] outs;
+  let tail_epoch =
+    List.fold_left
+      (fun acc (_, engine) -> max acc (Engine.epoch !engine))
+      0L env.cluster.Server.replicas
   in
-  let (_ : Chain.Coordinator.t) =
-    Chain.Coordinator.create ~net ~addr:coordinator_addr ~chain:[ 1 ]
-      ~ping_interval:0.1 ~failure_timeout:1.0 ()
+  Alcotest.(check bool) "engines advanced past creation" true (tail_epoch > 0L);
+  Alcotest.(check bool) "ack epoch covers the guarded write" true
+    (Client.last_epoch env.client >= tail_epoch);
+  let rels =
+    ok
+      (await env
+         (Client.query_order_e env.client
+            ~consistency:(`At_least (Client.last_epoch env.client))
+            [ (a, b) ]))
   in
-  let client =
-    Client.create ~net ~addr:2000 ~coordinator:coordinator_addr
-      ~request_timeout:0.4 ()
-  in
-  let await f =
-    let result = ref None in
-    f (fun x -> result := Some x);
-    let deadline = Sim.now sim +. 30.0 in
-    while !result = None && Sim.now sim < deadline && Sim.pending sim > 0 do
-      ignore (Sim.step sim)
-    done;
-    match !result with
-    | Some x -> x
-    | None -> Alcotest.fail "service call did not complete"
-  in
-  let a = ok (await (Client.create_event client)) in
-  let b = ok (await (Client.create_event client)) in
-  let outs = ok (await (Client.assign_order client [ Order.must_before a b ])) in
-  Alcotest.(check (list outcome)) "applied via legacy fallback"
-    [ Order.Applied ] outs;
-  Alcotest.(check int) "one stamped attempt" 1 !stamped;
-  Alcotest.(check int) "one legacy apply" 1 !legacy;
-  let c = ok (await (Client.create_event client)) in
-  let outs2 =
-    ok (await (Client.assign_order client [ Order.must_before b c ]))
-  in
-  Alcotest.(check (list outcome)) "second batch applied" [ Order.Applied ] outs2;
-  Alcotest.(check int) "downgrade latched: no new stamped attempt" 1 !stamped;
-  Alcotest.(check int) "second batch went legacy" 2 !legacy;
-  Alcotest.(check int64) "legacy acks carry no epoch" 0L
-    (Client.last_epoch client);
-  let rels = ok (await (Client.query_order client [ (a, c) ])) in
-  Alcotest.(check (list relation)) "orders visible" [ Order.Before ] rels
+  Alcotest.(check (list relation)) "read-your-writes sees the edge"
+    [ Order.Before ] (fst rels)
 
 let suites =
   [ ( "service",
@@ -260,7 +225,7 @@ let suites =
         Alcotest.test_case "survives replica failure" `Quick test_survives_replica_failure;
         Alcotest.test_case "join catches up" `Quick test_join_catches_up;
         Alcotest.test_case "malformed command" `Quick test_malformed_command_rejected;
-        Alcotest.test_case "assign falls back on old servers" `Quick
-          test_assign_legacy_fallback;
+        Alcotest.test_case "guarded assign acks an epoch" `Quick
+          test_guarded_assign_epoch;
       ] );
   ]

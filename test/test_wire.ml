@@ -41,9 +41,9 @@ let sample_requests =
     Message.Create_event;
     Message.Acquire_ref (e 7);
     Message.Release_ref (e 0);
-    Message.Query_order [];
-    Message.Query_order [ (e 1, e 2); (e 3, e 3) ];
-    Message.Assign_order
+    Message.Query_order_at { min_epoch = 0L; pairs = [] };
+    Message.Query_order_at { min_epoch = 42L; pairs = [ (e 1, e 2); (e 3, e 3) ] };
+    Message.Assign_order_at
       [ Order.must_before (e 1) (e 2); Order.prefer_after (e 2) (e 3) ];
   ]
 
@@ -53,8 +53,10 @@ let sample_responses =
     Message.Event_created (e 9);
     Message.Ref_acquired;
     Message.Ref_released 17;
-    Message.Orders [ Order.Before; Order.After; Order.Concurrent; Order.Same ];
-    Message.Outcomes [ Order.Applied; Order.Already; Order.Reversed ];
+    Message.Orders_at
+      { epoch = 3L; rels = [ Order.Before; Order.After; Order.Concurrent; Order.Same ] };
+    Message.Outcomes_at
+      { epoch = 4L; outs = [ Order.Applied; Order.Already; Order.Reversed ] };
     Message.Rejected (Order.Must_violated 3);
     Message.Rejected (Order.Must_self 0);
     Message.Rejected (Order.Unknown_event (e 5));
@@ -84,13 +86,26 @@ let test_bad_tags () =
   in
   raises "request" (fun () -> Message.decode_request "\x09");
   raises "response" (fun () -> Message.decode_response "\x09");
+  (* tags 3 and 4 were the epoch-less query and assign messages: a
+     well-formed body under them no longer decodes *)
+  let empty_list = "\x00\x00\x00\x00" in
+  List.iter
+    (fun tag ->
+      let body = String.make 1 (Char.chr tag) ^ empty_list in
+      raises (Printf.sprintf "request tag %d" tag) (fun () ->
+          Message.decode_request body);
+      raises (Printf.sprintf "response tag %d" tag) (fun () ->
+          Message.decode_response body))
+    [ 3; 4 ];
   raises "trailing" (fun () ->
       Message.decode_request (Message.encode_request Message.Create_event ^ "x"))
 
 let test_read_only () =
-  Alcotest.(check bool) "query ro" true (Message.is_read_only (Message.Query_order []));
+  Alcotest.(check bool) "query ro" true
+    (Message.is_read_only (Message.Query_order_at { min_epoch = 0L; pairs = [] }));
   Alcotest.(check bool) "create rw" false (Message.is_read_only Message.Create_event);
-  Alcotest.(check bool) "assign rw" false (Message.is_read_only (Message.Assign_order []))
+  Alcotest.(check bool) "assign rw" false
+    (Message.is_read_only (Message.Assign_order_at []))
 
 let test_frame_roundtrip () =
   let r = Frame.Reassembler.create () in
@@ -122,9 +137,11 @@ let prop_request_roundtrip =
            [ (1, return Message.Create_event);
              (1, map (fun e -> Message.Acquire_ref e) gen_event);
              (1, map (fun e -> Message.Release_ref e) gen_event);
-             (2, map (fun ps -> Message.Query_order ps)
+             (2, map2 (fun e ps ->
+                    Message.Query_order_at { min_epoch = Int64.of_int e; pairs = ps })
+                (int_bound 1000)
                 (list_size (int_bound 20) (pair gen_event gen_event)));
-             (2, map (fun rs -> Message.Assign_order rs)
+             (2, map (fun rs -> Message.Assign_order_at rs)
                 (list_size (int_bound 20)
                    (map2
                       (fun (e1, e2) (d, k) ->
