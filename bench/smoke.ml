@@ -542,15 +542,16 @@ let durability_recovery_smoke () =
     if !seq land 31 = 0 then Wal.flush wal;
     if Wal.logged_bytes wal - !mark >= window then begin
       Wal.flush wal;
-      (if !last_full > 0 && !chain_len < max_chain then begin
-         Snapshot.write_delta storage ~base_seq:!last_snap ~seq:!seq engine;
-         incr chain_len
-       end
-       else begin
-         Snapshot.write storage ~seq:!seq engine;
+      let base_seq =
+        if !last_full > 0 && !chain_len < max_chain then Some !last_snap
+        else None
+      in
+      Snapshot.write ?base_seq storage ~seq:!seq engine;
+      (match base_seq with
+       | Some _ -> incr chain_len
+       | None ->
          last_full := !seq;
-         chain_len := 0
-       end);
+         chain_len := 0);
       Engine.snapshot_written engine;
       last_snap := !seq;
       mark := Wal.logged_bytes wal;

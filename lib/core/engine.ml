@@ -136,10 +136,10 @@ let assign_order t requests =
       t.aborted_batches <- t.aborted_batches + 1;
       Kronos_metrics.Counter.incr M.aborted
     in
-    (* The rank index folds the cycle check into edge insertion: when the
-       ranks already agree it is O(1), otherwise the bounded relabel search
-       detects [after ⇝ before] itself — no separate full reachability
-       probe per constraint.  A [false] return is exactly the old
+    (* The graph folds the cycle check into edge insertion: rank and
+       labels settle [after ⇝ before] in O(#chains), and only an
+       unlabelled [before] pays the shared BFS — no separate full
+       reachability probe per constraint.  A [false] return is exactly the
        "contradicts the committed order" case. *)
     let try_apply_edge p =
       if Graph.try_add_edge t.g p.before p.after then begin
@@ -228,9 +228,9 @@ type snapshot = {
   snap_collected : int;
 }
 
-let to_snapshot t =
+let with_counters t g =
   {
-    snap_graph = Graph.to_snapshot t.g;
+    snap_graph = g;
     snap_creates = t.creates;
     snap_queries = t.queries;
     snap_assigns = t.assigns;
@@ -238,6 +238,9 @@ let to_snapshot t =
     snap_reversals = t.reversals;
     snap_collected = t.collected;
   }
+
+let to_snapshot t = with_counters t (Graph.to_snapshot t.g)
+let to_delta t = with_counters t (Graph.to_delta t.g)
 
 let of_snapshot ?(config = default_config) s =
   {
@@ -252,40 +255,9 @@ let of_snapshot ?(config = default_config) s =
     collected = s.snap_collected;
   }
 
-(* Incremental snapshots (DESIGN.md §16): the graph delta plus the
-   engine's own counters captured absolutely — they are six ints, cheaper
-   to carry wholesale than to diff. *)
-type delta = {
-  delta_graph : Graph.delta;
-  delta_creates : int;
-  delta_queries : int;
-  delta_assigns : int;
-  delta_aborted_batches : int;
-  delta_reversals : int;
-  delta_collected : int;
-}
-
-let to_delta t =
-  {
-    delta_graph = Graph.to_delta t.g;
-    delta_creates = t.creates;
-    delta_queries = t.queries;
-    delta_assigns = t.assigns;
-    delta_aborted_batches = t.aborted_batches;
-    delta_reversals = t.reversals;
-    delta_collected = t.collected;
-  }
-
-let apply_delta s d =
-  {
-    snap_graph = Graph.apply_delta s.snap_graph d.delta_graph;
-    snap_creates = d.delta_creates;
-    snap_queries = d.delta_queries;
-    snap_assigns = d.delta_assigns;
-    snap_aborted_batches = d.delta_aborted_batches;
-    snap_reversals = d.delta_reversals;
-    snap_collected = d.delta_collected;
-  }
+(* Engine counters are captured absolutely: the later capture's win. *)
+let apply_delta base d =
+  { d with snap_graph = Graph.apply_delta base.snap_graph d.snap_graph }
 
 let snapshot_written t = Graph.snapshot_written t.g
 let dirty_slot_count t = Graph.dirty_slot_count t.g

@@ -77,10 +77,12 @@ val guarded_assign :
 
 (** {1 Serialization} *)
 
-(** Full logical state of an engine: the graph plus the API counters, so a
-    restored replica reports the same {!stats} as one that never crashed.
-    The encoding to bytes lives in the durability library; this type is the
-    stable in-memory contract between the two. *)
+(** Logical state of an engine: a graph capture plus the API counters, so
+    a restored replica reports the same {!stats} as one that never
+    crashed.  The same type holds a full capture ({!to_snapshot}) and a
+    delta ({!to_delta}); see {!Graph.snapshot}.  The encoding to bytes
+    lives in the durability library; this type is the stable in-memory
+    contract between the two. *)
 type snapshot = {
   snap_graph : Graph.snapshot;
   snap_creates : int;
@@ -92,34 +94,24 @@ type snapshot = {
 }
 
 val to_snapshot : t -> snapshot
+(** Full capture of every slot. *)
 
 val of_snapshot : ?config:config -> snapshot -> t
 (** Rebuild an engine that behaves identically to the captured one under
     any subsequent command sequence ([config] mirrors {!create}).
-    @raise Invalid_argument on an internally inconsistent snapshot. *)
+    @raise Invalid_argument on a partial capture (a delta not yet composed
+    with {!apply_delta}) or an internally inconsistent one. *)
 
-(** Incremental counterpart of {!snapshot} (DESIGN.md §16): the graph's
-    dirty-slot delta plus the engine counters captured absolutely.
-    Composing the base snapshot with the delta ({!apply_delta}) restores
-    the same engine {!to_snapshot} would have captured. *)
-type delta = {
-  delta_graph : Graph.delta;
-  delta_creates : int;
-  delta_queries : int;
-  delta_assigns : int;
-  delta_aborted_batches : int;
-  delta_reversals : int;
-  delta_collected : int;
-}
+val to_delta : t -> snapshot
+(** Capture the slots changed since the last {!snapshot_written}, plus the
+    globals and counters (DESIGN.md §16).  Pure read; see
+    {!Graph.to_delta}. *)
 
-val to_delta : t -> delta
-(** Capture the state changed since the last {!snapshot_written}.  Pure
-    read; see {!Graph.to_delta}. *)
-
-val apply_delta : snapshot -> delta -> snapshot
-(** Overlay a delta on the base snapshot it was captured against.
-    @raise Invalid_argument when the base cannot structurally carry a
-    delta (see {!Graph.apply_delta}). *)
+val apply_delta : snapshot -> snapshot -> snapshot
+(** [apply_delta base d] overlays the delta [d] on the full capture [base]
+    it was taken against; the counters come from [d].
+    @raise Invalid_argument when [base] cannot structurally carry [d]
+    (see {!Graph.apply_delta}). *)
 
 val snapshot_written : t -> unit
 (** Clear the snapshot dirty set — call after a full or delta capture has

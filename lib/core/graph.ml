@@ -973,48 +973,6 @@ let push_edge g su sv =
   label_admit g su sv;
   Kronos_metrics.Gauge.set M.edges g.edges
 
-(* Restricted cycle probe for an edge su -> sv arriving with
-   rank su >= rank sv: sv ⇝ su would close a cycle, and by the rank
-   invariant any such path stays within rank <= rank su, so a forward BFS
-   from sv bounded by that ceiling is exact.  Read-only; counts as a
-   traversal (it replaces the full reachability probe the engine used to
-   run before every must edge). *)
-let cycle_probe g sv su =
-  g.traversals <- g.traversals + 1;
-  Kronos_metrics.Counter.incr M.traversals;
-  let ceiling = g.rank.(su) in
-  let visited = g.scratch.visited in
-  Sparse_set.clear visited;
-  Sparse_set.add visited sv;
-  let queue = g.scratch.queue in
-  queue.(0) <- sv;
-  let head = ref 0 and tail = ref 1 in
-  let found = ref false in
-  while (not !found) && !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    let visit w =
-      if not (Sparse_set.mem visited w) then begin
-        if w = su then begin
-          found := true;
-          (* count the discovered endpoint, mirroring the bidirectional
-             search where both endpoints are seeded *)
-          Sparse_set.add visited w
-        end
-        else if g.rank.(w) <= ceiling then begin
-          Sparse_set.add visited w;
-          queue.(!tail) <- w;
-          incr tail
-        end
-      end
-    in
-    Int_vec.iter visit g.succ.(u)
-  done;
-  let visited_n = Sparse_set.cardinal visited in
-  g.visited_total <- g.visited_total + visited_n;
-  Kronos_metrics.Counter.add M.visited visited_n;
-  !found
-
 (* Restore the invariant after admitting an edge whose target ranked at or
    below its source: push every forward path out of [sv] strictly above
    [floor].  Depth-first on an explicit stack of (slot, floor) pairs; a slot
@@ -1044,35 +1002,32 @@ let relabel g sv floor =
     end
   done
 
+(* su -> sv closes a cycle iff sv ⇝ su.  Rank and labels settle that in
+   O(#chains) unless su is on no chain; only then does the shared BFS run.
+   Label counters stay untouched, as in [label_reachable_in], so the label
+   hit rate keeps measuring queries. *)
 let try_add_edge g u v =
   match resolve g u, resolve g v with
   | Some su, Some sv ->
-    if su = sv then false
-    else if g.rank.(su) < g.rank.(sv) then begin
-      (* ranks already agree: v ⇝ u is impossible, no cycle, O(1) *)
-      push_edge g su sv;
-      true
-    end
-    else if cycle_probe g sv su then false
+    let closes_cycle =
+      match verdict Live g sv su with
+      | Identical | Label_reaches -> true
+      | Rank_refuted | Label_refutes -> false
+      | Unlabelled -> bfs Live g sv su
+    in
+    if closes_cycle then false
     else begin
-      relabel g sv g.rank.(su);
+      if g.rank.(su) >= g.rank.(sv) then relabel g sv g.rank.(su);
       push_edge g su sv;
       true
     end
   | (None | Some _), _ -> invalid_arg "Graph.try_add_edge: stale event"
 
 let add_edge g u v =
-  match resolve g u, resolve g v with
-  | Some su, Some sv ->
-    if su = sv then invalid_arg "Graph.add_edge: self edge";
-    if g.rank.(su) < g.rank.(sv) then push_edge g su sv
-    else if cycle_probe g sv su then
-      invalid_arg "Graph.add_edge: edge would close a cycle"
-    else begin
-      relabel g sv g.rank.(su);
-      push_edge g su sv
-    end
-  | (None | Some _), _ -> invalid_arg "Graph.add_edge: stale event"
+  if not (try_add_edge g u v) then
+    invalid_arg
+      (if Event_id.equal u v then "Graph.add_edge: self edge"
+       else "Graph.add_edge: edge would close a cycle")
 
 let remove_last_edge g u v =
   match resolve g u, resolve g v with
@@ -1126,195 +1081,139 @@ let remove_last_edge g u v =
     undo g.journal
   | (None | Some _), _ -> invalid_arg "Graph.remove_last_edge: stale event"
 
-type chain_snapshot = {
-  cs_chain_of : int array;    (* per slot; -1 = unassigned *)
-  cs_chain_pos : int array;   (* per slot *)
-  cs_chain_len : int array;   (* per chain *)
-  cs_free_chains : int array; (* wholly-dead chains, stack order *)
-}
+(* ------------------------------------------------------------------ *)
+(* Snapshots (DESIGN.md §8, §16).  One capture type serves both kinds  *)
+(* of snapshot: a full capture carries every slot below [next_slot], a *)
+(* delta carries the slots dirtied since the last [snapshot_written]. *)
+(* ------------------------------------------------------------------ *)
 
 type snapshot = {
-  snap_next_slot : int;
+  snap_slots : int array;
   snap_refcount : int array;
   snap_gen : int array;
-  snap_succ : int array array;
-  snap_free : int array;
   snap_rank : int array;
+  snap_succ : int array array;
+  snap_digest_links : (int64 * string * int) array array;
+  snap_chain_of : int array;
+  snap_chain_pos : int array;
+  snap_next_slot : int;
+  snap_free : int array;
   snap_next_rank : int;
   snap_traversals : int;
   snap_visited_total : int;
-  snap_links : (int64 * string * int) array array option;
   snap_version : int;
-  snap_chains : chain_snapshot;
+  snap_chain_len : int array;
+  snap_free_chains : int array;
+  snap_digests : bool;
 }
 
-let to_snapshot g =
-  let n = g.next_slot in
-  let int_vec_to_array v = Array.init (Int_vec.length v) (Int_vec.get v) in
+let int_vec_array v = Array.init (Int_vec.length v) (Int_vec.get v)
+
+(* Capture the per-slot state of [slots] (ascending) plus every small
+   global (free stack, chain lengths, counters) wholesale. *)
+let capture g slots =
+  let per f = Array.map f slots in
   {
-    snap_next_slot = n;
-    snap_refcount = Array.sub g.refcount 0 n;
-    snap_gen = Array.sub g.gen 0 n;
-    snap_succ = Array.init n (fun i -> int_vec_to_array g.succ.(i));
-    snap_free = int_vec_to_array g.free;
-    snap_rank = Array.sub g.rank 0 n;
+    snap_slots = slots;
+    snap_refcount = per (fun s -> g.refcount.(s));
+    snap_gen = per (fun s -> g.gen.(s));
+    snap_rank = per (fun s -> g.rank.(s));
+    snap_succ = per (fun s -> int_vec_array g.succ.(s));
+    snap_digest_links =
+      per (fun s ->
+          if not g.digests then [||]
+          else
+            let c = g.chains.(s) in
+            Array.init (Vec.length c) (fun j ->
+                let l = Vec.get c j in
+                (Event_id.to_int64 l.l_pred, l.l_pred_head, l.l_pred_pos)));
+    snap_chain_of = per (fun s -> g.chain_of.(s));
+    snap_chain_pos = per (fun s -> g.chain_pos.(s));
+    snap_next_slot = g.next_slot;
+    snap_free = int_vec_array g.free;
     snap_next_rank = g.next_rank;
     snap_traversals = g.traversals;
     snap_visited_total = g.visited_total;
-    snap_links =
-      (if not g.digests then None
-       else
-         Some
-           (Array.init n (fun i ->
-                let c = g.chains.(i) in
-                Array.init (Vec.length c) (fun j ->
-                    let l = Vec.get c j in
-                    (Event_id.to_int64 l.l_pred, l.l_pred_head, l.l_pred_pos)))));
     snap_version = g.version;
-    snap_chains =
-      {
-        cs_chain_of = Array.sub g.chain_of 0 n;
-        cs_chain_pos = Array.sub g.chain_pos 0 n;
-        cs_chain_len = int_vec_to_array g.chain_len;
-        cs_free_chains = int_vec_to_array g.free_chains;
-      };
+    snap_chain_len = int_vec_array g.chain_len;
+    snap_free_chains = int_vec_array g.free_chains;
+    snap_digests = g.digests;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Incremental snapshots (DESIGN.md §16).                              *)
-(* ------------------------------------------------------------------ *)
-
-type slot_delta = {
-  sd_slot : int;
-  sd_refcount : int;
-  sd_gen : int;
-  sd_rank : int;
-  sd_succ : int array;
-  sd_links : (int64 * string * int) array;
-  sd_chain_of : int;
-  sd_chain_pos : int;
-}
-
-type delta = {
-  d_slots : slot_delta array;
-  d_next_slot : int;
-  d_free : int array;
-  d_next_rank : int;
-  d_traversals : int;
-  d_visited_total : int;
-  d_version : int;
-  d_chain_len : int array;
-  d_free_chains : int array;
-  d_digests : bool;
-}
+let to_snapshot g = capture g (Array.init g.next_slot Fun.id)
 
 let dirty_slot_count g = Sparse_set.cardinal g.snap_dirty
 let snapshot_written g = Sparse_set.clear g.snap_dirty
 
-(* Capture the slots touched since the last [snapshot_written], plus every
-   small global (free stack, chain lengths, counters) wholesale.  Pure
-   read: the dirty set is only cleared once the caller has made the delta
-   durable. *)
+(* Pure read: the dirty set is only cleared once the caller has made the
+   delta durable. *)
 let to_delta g =
-  let int_vec_to_array v = Array.init (Int_vec.length v) (Int_vec.get v) in
   let slots = ref [] in
   Sparse_set.iter (fun s -> slots := s :: !slots) g.snap_dirty;
   let slots = Array.of_list !slots in
   Array.sort compare slots;
-  let slot_delta s =
-    {
-      sd_slot = s;
-      sd_refcount = g.refcount.(s);
-      sd_gen = g.gen.(s);
-      sd_rank = g.rank.(s);
-      sd_succ = int_vec_to_array g.succ.(s);
-      sd_links =
-        (if not g.digests then [||]
-         else
-           let c = g.chains.(s) in
-           Array.init (Vec.length c) (fun j ->
-               let l = Vec.get c j in
-               (Event_id.to_int64 l.l_pred, l.l_pred_head, l.l_pred_pos)));
-      sd_chain_of = g.chain_of.(s);
-      sd_chain_pos = g.chain_pos.(s);
-    }
-  in
-  {
-    d_slots = Array.map slot_delta slots;
-    d_next_slot = g.next_slot;
-    d_free = int_vec_to_array g.free;
-    d_next_rank = g.next_rank;
-    d_traversals = g.traversals;
-    d_visited_total = g.visited_total;
-    d_version = g.version;
-    d_chain_len = int_vec_to_array g.chain_len;
-    d_free_chains = int_vec_to_array g.free_chains;
-    d_digests = g.digests;
-  }
+  capture g slots
 
-(* Compose a base snapshot with a delta captured later on the same engine:
+(* Whether [s] carries exactly the slots [0 .. next_slot - 1]. *)
+let is_full s =
+  let n = s.snap_next_slot in
+  Array.length s.snap_slots = n
+  &&
+  let rec from i = i = n || (s.snap_slots.(i) = i && from (i + 1)) in
+  from 0
+
+(* Compose a full capture with a delta captured later on the same engine:
    per-slot state is overlaid for the slots the delta carries, everything
    else comes from the base; globals come from the delta wholesale.  Pure
-   — the result is validated like any other snapshot by [of_snapshot].
-   Raises on structural mismatch: a delta that shrinks the slot space, a
-   digest-carrying delta over a base without links, or a delta that grows
-   the slot space by more slots than it carries.  Every slot allocated
-   after the base was captured is dirty ([create_event] touches it), so a
-   genuine delta carries at least [n - nb] slots; checking that before
-   allocating keeps a CRC-valid but corrupt slot count from sizing the
-   arrays below. *)
+   — the result is validated like any other capture by [of_snapshot].
+   Raises on structural mismatch: a partial base, a delta that shrinks the
+   slot space, a digest-carrying delta over a digest-less base, or a delta
+   that grows the slot space by more slots than it carries.  Every slot
+   allocated after the base was captured is dirty ([create_event] touches
+   it), so a genuine delta carries at least [n - nb] slots; checking that
+   before allocating keeps a CRC-valid but corrupt slot count from sizing
+   the arrays below. *)
 let apply_delta base d =
   let fail what = invalid_arg ("Graph.apply_delta: " ^ what) in
-  let nb = base.snap_next_slot and n = d.d_next_slot in
+  let nb = base.snap_next_slot and n = d.snap_next_slot in
+  if not (is_full base) then fail "base is not a full capture";
   if n < nb then fail "delta shrinks the slot space";
-  if n - nb > Array.length d.d_slots then
+  if n - nb > Array.length d.snap_slots then
     fail "delta grows the slot space past the slots it carries";
-  let base_links =
-    if not d.d_digests then None
-    else
-      match base.snap_links with
-      | Some l -> Some l
-      | None -> fail "base snapshot has no digest section"
-  in
+  if d.snap_digests && not base.snap_digests then
+    fail "base capture has no digest links";
   let extend a fill = Array.init n (fun i -> if i < nb then a.(i) else fill) in
   let refcount = extend base.snap_refcount (-1) in
   let gen = extend base.snap_gen 0 in
-  let succ = extend base.snap_succ [||] in
   let rank = extend base.snap_rank 0 in
-  let links = Option.map (fun l -> extend l [||]) base_links in
-  let chain_of = extend base.snap_chains.cs_chain_of (-1) in
-  let chain_pos = extend base.snap_chains.cs_chain_pos 0 in
-  Array.iter
-    (fun sd ->
-      let s = sd.sd_slot in
+  let succ = extend base.snap_succ [||] in
+  let links =
+    if d.snap_digests then extend base.snap_digest_links [||]
+    else Array.make n [||]
+  in
+  let chain_of = extend base.snap_chain_of (-1) in
+  let chain_pos = extend base.snap_chain_pos 0 in
+  Array.iteri
+    (fun k s ->
       if s < 0 || s >= n then fail "slot out of range";
-      refcount.(s) <- sd.sd_refcount;
-      gen.(s) <- sd.sd_gen;
-      succ.(s) <- sd.sd_succ;
-      rank.(s) <- sd.sd_rank;
-      Option.iter (fun l -> l.(s) <- sd.sd_links) links;
-      chain_of.(s) <- sd.sd_chain_of;
-      chain_pos.(s) <- sd.sd_chain_pos)
-    d.d_slots;
+      refcount.(s) <- d.snap_refcount.(k);
+      gen.(s) <- d.snap_gen.(k);
+      rank.(s) <- d.snap_rank.(k);
+      succ.(s) <- d.snap_succ.(k);
+      links.(s) <- d.snap_digest_links.(k);
+      chain_of.(s) <- d.snap_chain_of.(k);
+      chain_pos.(s) <- d.snap_chain_pos.(k))
+    d.snap_slots;
   {
-    snap_next_slot = n;
+    d with
+    snap_slots = Array.init n Fun.id;
     snap_refcount = refcount;
     snap_gen = gen;
-    snap_succ = succ;
-    snap_free = d.d_free;
     snap_rank = rank;
-    snap_next_rank = d.d_next_rank;
-    snap_traversals = d.d_traversals;
-    snap_visited_total = d.d_visited_total;
-    snap_links = links;
-    snap_version = d.d_version;
-    snap_chains =
-      {
-        cs_chain_of = chain_of;
-        cs_chain_pos = chain_pos;
-        cs_chain_len = d.d_chain_len;
-        cs_free_chains = d.d_free_chains;
-      };
+    snap_succ = succ;
+    snap_digest_links = links;
+    snap_chain_of = chain_of;
+    snap_chain_pos = chain_pos;
   }
 
 (* Deterministic commitment reconstruction for captures without a digest
@@ -1352,9 +1251,14 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
   let fail what = invalid_arg ("Graph.of_snapshot: " ^ what) in
   let n = s.snap_next_slot in
   if n < 0 || n > Event_id.max_slot + 1 then fail "bad slot count";
+  if not (is_full s) then fail "not a full capture";
   if Array.length s.snap_refcount <> n
      || Array.length s.snap_gen <> n
+     || Array.length s.snap_rank <> n
      || Array.length s.snap_succ <> n
+     || Array.length s.snap_digest_links <> n
+     || Array.length s.snap_chain_of <> n
+     || Array.length s.snap_chain_pos <> n
   then fail "mismatched array lengths";
   let g =
     create ~initial_capacity:(max initial_capacity n) ~digests ~max_chains ()
@@ -1391,7 +1295,6 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
       Int_vec.push g.free f)
     s.snap_free;
   let ranks = s.snap_rank in
-  if Array.length ranks <> n then fail "mismatched rank length";
   let max_rank = ref (-1) in
   for i = 0 to n - 1 do
     if ranks.(i) < 0 then fail "bad rank";
@@ -1407,11 +1310,9 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
      correctness, but genuine snapshots always satisfy this *)
   g.next_rank <- max s.snap_next_rank (!max_rank + 1);
   (if digests then
-     match s.snap_links with
-     | Some links ->
-       if Array.length links <> n then fail "mismatched link table length";
+     if s.snap_digests then
        for v = 0 to n - 1 do
-         let ls = links.(v) in
+         let ls = s.snap_digest_links.(v) in
          if Array.length ls > 0 && g.refcount.(v) < 0 then
            fail "chain links on a free slot";
          Array.iter
@@ -1436,7 +1337,7 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
              Kronos_metrics.Counter.add M.digest_folds 2)
            ls
        done
-     | None -> rebuild_chains g);
+     else rebuild_chains g);
   (* Chain-decomposition index.  A persisted chain section is validated
      against its own invariants (one member per position, live members a
      consecutive suffix joined by direct edges, dead chains reset and
@@ -1444,19 +1345,17 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
      a capture from a larger-capped engine still loads.  Labels are never
      persisted: exact labels are a pure function of adjacency + chains,
      recomputed identically on every restore. *)
-  let cs = s.snap_chains in
-  if Array.length cs.cs_chain_of <> n || Array.length cs.cs_chain_pos <> n
-  then fail "mismatched chain index length";
-  let nc = Array.length cs.cs_chain_len in
-  Array.iter (fun l -> if l < 0 then fail "bad chain length") cs.cs_chain_len;
+  let chain_len = s.snap_chain_len and chain_pos = s.snap_chain_pos in
+  let nc = Array.length chain_len in
+  Array.iter (fun l -> if l < 0 then fail "bad chain length") chain_len;
   let members = Array.make (max nc 1) [] in
   for i = 0 to n - 1 do
-    let c = cs.cs_chain_of.(i) in
+    let c = s.snap_chain_of.(i) in
     if c < -1 || c >= nc then fail "bad chain id";
     if c >= 0 then begin
       if g.refcount.(i) < 0 then fail "chain entry on a free slot";
-      let p = cs.cs_chain_pos.(i) in
-      if p < 0 || p >= cs.cs_chain_len.(c) then fail "bad chain position";
+      let p = chain_pos.(i) in
+      if p < 0 || p >= chain_len.(c) then fail "bad chain position";
       g.chain_of.(i) <- c;
       g.chain_pos.(i) <- p;
       members.(c) <- i :: members.(c)
@@ -1467,28 +1366,28 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
     (fun c ->
       if c < 0 || c >= nc || on_free.(c) then fail "bad free chain";
       on_free.(c) <- true)
-    cs.cs_free_chains;
+    s.snap_free_chains;
   for c = 0 to nc - 1 do
     let ms =
       List.sort
-        (fun a b -> compare cs.cs_chain_pos.(a) cs.cs_chain_pos.(b))
+        (fun a b -> compare chain_pos.(a) chain_pos.(b))
         members.(c)
     in
     let live = List.length ms in
-    Int_vec.push g.chain_len cs.cs_chain_len.(c);
+    Int_vec.push g.chain_len chain_len.(c);
     Int_vec.push g.chain_live live;
     if live = 0 then begin
-      if cs.cs_chain_len.(c) <> 0 || not on_free.(c) then
+      if chain_len.(c) <> 0 || not on_free.(c) then
         fail "dead chain not reset";
       Int_vec.push g.chain_tail (-1)
     end
     else begin
       if on_free.(c) then fail "live chain on the free list";
-      let expect = ref (cs.cs_chain_len.(c) - live) in
+      let expect = ref (chain_len.(c) - live) in
       let prev = ref (-1) in
       List.iter
         (fun m ->
-          if cs.cs_chain_pos.(m) <> !expect then
+          if chain_pos.(m) <> !expect then
             fail "chain positions not a suffix";
           incr expect;
           if !prev >= 0 && not (Int_vec.mem g.succ.(!prev) m) then
@@ -1498,7 +1397,7 @@ let of_snapshot ?(initial_capacity = 1024) ?(digests = true)
       Int_vec.push g.chain_tail !prev
     end
   done;
-  Array.iter (fun c -> Int_vec.push g.free_chains c) cs.cs_free_chains;
+  Array.iter (fun c -> Int_vec.push g.free_chains c) s.snap_free_chains;
   Kronos_metrics.Gauge.set M.chains
     (Int_vec.length g.chain_len - Int_vec.length g.free_chains);
   compute_labels g;
@@ -1605,7 +1504,6 @@ let memory_bytes g =
 (* Frozen views (DESIGN.md §14).                                       *)
 (* ------------------------------------------------------------------ *)
 
-let int_vec_array v = Array.init (Int_vec.length v) (Int_vec.get v)
 let vec_array c = Array.init (Vec.length c) (Vec.get c)
 
 (* Publish an immutable copy of the query-visible state.  Incremental: the

@@ -115,16 +115,17 @@ val rank : t -> Event_id.t -> int option
 val try_add_edge : t -> Event_id.t -> Event_id.t -> bool
 (** [try_add_edge g u v] records [u -> v] and returns [true], unless the
     edge would close a cycle ([v ->* u], or [u = v]) in which case the graph
-    is left untouched and the result is [false].  The cycle check is O(1)
-    when [rank u < rank v]; otherwise it is a forward search from [v]
-    bounded by [rank u], which then doubles as the relabel's frontier.
+    is left untouched and the result is [false].  The cycle check asks
+    whether [v ->* u] through the same rank and label verdict as
+    {!reachable}, in O(#chains), and runs the rank-windowed BFS only when
+    [u] is on no chain; it leaves the label hit/miss counters alone.
     @raise Invalid_argument if either identifier is stale. *)
 
 val add_edge : t -> Event_id.t -> Event_id.t -> unit
 (** [add_edge g u v] records [u -> v].  {b Caller must have established}
-    that [u <> v] and [v ->* u] does not hold; the rank index re-checks
-    cheaply and raises on contract violations instead of corrupting the
-    graph.  Used by {!Engine}, which may roll the edge back with
+    that [u <> v] and [v ->* u] does not hold; {!try_add_edge}'s check
+    runs anyway and raises on contract violations instead of corrupting
+    the graph.  Used by {!Engine}, which may roll the edge back with
     {!remove_last_edge} while aborting an atomic batch.
     @raise Invalid_argument on stale identifiers, self edges, or an edge
     that would close a cycle. *)
@@ -186,10 +187,14 @@ val digest_fold_count : t -> int
 (** SHA-256 compressions spent maintaining chains (2 per admitted edge,
     including folds replayed by snapshot restore). *)
 
-(** {1 Serialization} *)
+(** {1 Serialization}
 
-(** A self-contained copy of the graph's logical state, for the durability
-    layer.  It captures everything that affects future behaviour:
+    One capture type serves both kinds of snapshot (DESIGN.md §8, §16).
+    A {e full} capture ({!to_snapshot}) carries every slot below
+    [snap_next_slot]; a {e delta} ({!to_delta}) carries only the slots
+    whose snapshot-visible state changed since the last
+    {!snapshot_written}.  Either way the capture holds everything that
+    affects future behaviour:
 
     - adjacency lists in {e insertion order} (searches visit successors in
       that order, so traversal statistics stay deterministic after a
@@ -199,122 +204,91 @@ val digest_fold_count : t -> int
       identifiers resolve exactly as before and stale ones stay stale;
     - per-slot topological ranks and the rank allocator, so restored
       engines prune and relabel exactly as the captured one would;
+    - the chain-decomposition assignment, installed verbatim on restore;
     - traversal counters, so work accounting continues rather than resets.
 
     In-degrees, reverse adjacency, live/edge counts and the chain labels
-    are reconstructed. *)
-
-(** The chain-decomposition assignment.  Labels are
-    deliberately absent: exact labels are a pure function of adjacency +
+    are reconstructed: exact labels are a pure function of adjacency +
     chains, recomputed identically on every restore. *)
-type chain_snapshot = {
-  cs_chain_of : int array;    (** per slot; -1 = unassigned *)
-  cs_chain_pos : int array;   (** per slot; valid when assigned *)
-  cs_chain_len : int array;   (** per chain: members ever appended *)
-  cs_free_chains : int array; (** wholly-dead chains, stack order *)
-}
 
 type snapshot = {
-  snap_next_slot : int;          (** high-water mark of ever-used slots *)
-  snap_refcount : int array;     (** per slot; -1 marks a free slot *)
-  snap_gen : int array;          (** per slot *)
+  snap_slots : int array;        (** the slots carried, ascending *)
+  snap_refcount : int array;     (** per carried slot; -1 marks a free slot *)
+  snap_gen : int array;          (** per carried slot *)
+  snap_rank : int array;         (** per carried slot *)
   snap_succ : int array array;   (** successor slots, insertion order *)
+  snap_digest_links : (int64 * string * int) array array;
+  (** per carried slot, its commitment-chain links as
+      [(predecessor id, predecessor head, predecessor position)] triples;
+      partners and heads are refolded on restore.  All empty when
+      [snap_digests] is false. *)
+  snap_chain_of : int array;     (** per carried slot; -1 = unassigned *)
+  snap_chain_pos : int array;    (** per carried slot; valid when assigned *)
+  snap_next_slot : int;          (** high-water mark of ever-used slots *)
   snap_free : int array;         (** free stack, bottom to top *)
-  snap_rank : int array;         (** per slot *)
   snap_next_rank : int;          (** rank allocator high-water mark *)
   snap_traversals : int;
   snap_visited_total : int;
-  snap_links : (int64 * string * int) array array option;
-  (** per-slot commitment-chain links as
-      [(predecessor id, predecessor head, predecessor position)] triples;
-      partners and heads are refolded on restore.  [None] marks a capture
-      of a digest-disabled engine: chains are then rebuilt
-      deterministically from adjacency — see {!of_snapshot}. *)
   snap_version : int;
   (** the graph {!version} at capture time, so the view epoch continues
       monotonically across restarts *)
-  snap_chains : chain_snapshot;
-  (** the chain-decomposition assignment, installed verbatim on restore *)
+  snap_chain_len : int array;    (** per chain: members ever appended *)
+  snap_free_chains : int array;  (** wholly-dead chains, stack order *)
+  snap_digests : bool;
+  (** whether [snap_digest_links] holds the links: false for a capture of
+      a digest-disabled engine, whose chains are then rebuilt from
+      adjacency — see {!of_snapshot} *)
 }
 
 val to_snapshot : t -> snapshot
-(** Deep copy; the snapshot does not alias the graph's arrays.
-    [snap_links] is [Some _] iff digests are enabled. *)
+(** Full capture: every slot below [snap_next_slot].  Deep copy; the
+    capture does not alias the graph's arrays. *)
 
 val of_snapshot :
   ?initial_capacity:int -> ?digests:bool -> ?max_chains:int -> snapshot -> t
 (** Rebuild a graph behaviourally identical to the one captured.  The
-    options mirror {!create}; capacity is raised to fit the snapshot.
+    options mirror {!create}; capacity is raised to fit the capture.
 
-    With [~digests:true] (default) and [snap_links = None] — a capture of
-    a digest-disabled engine — commitment chains are rebuilt canonically:
-    live slots in (rank, slot) order, one link per stored predecessor in
-    reverse-adjacency order, each fold using the predecessor's final head.
-    The rebuild is a function of the snapshot's adjacency alone, so every
-    such restore of the same logical graph agrees on every commitment; it
-    does {e not} reproduce the chains a digest-enabled engine would have
-    held, whose admission interleaving the snapshot never recorded.
-    @raise Invalid_argument if the snapshot is internally inconsistent
-    (mismatched array lengths, edges to free slots, out-of-range values,
-    ranks violating the edge invariant, a cyclic edge set, or malformed
-    chain links). *)
+    With [~digests:true] (default) and [snap_digests = false] — a capture
+    of a digest-disabled engine — commitment chains are rebuilt
+    canonically: live slots in (rank, slot) order, one link per stored
+    predecessor in reverse-adjacency order, each fold using the
+    predecessor's final head.  The rebuild is a function of the capture's
+    adjacency alone, so every such restore of the same logical graph
+    agrees on every commitment; it does {e not} reproduce the chains a
+    digest-enabled engine would have held, whose admission interleaving
+    the capture never recorded.
+    @raise Invalid_argument unless the capture carries exactly the slots
+    [0 .. snap_next_slot - 1] (a delta must first be composed with
+    {!apply_delta}), or if it is internally inconsistent (mismatched
+    array lengths, edges to free slots, out-of-range values, ranks
+    violating the edge invariant, or a malformed chain section). *)
 
-(** {1 Incremental snapshots}
+(** {2 Deltas}
 
     The graph tracks the slots whose snapshot-visible state changed since
     the last durable snapshot in a dedicated dirty set — a superset of the
     freeze set, because refcount moves and rank relabels matter to a
-    restore even though frozen views never observe them.  {!to_delta}
-    captures exactly those slots plus every small global; composing the
-    previous full snapshot with the delta ({!apply_delta}) yields a
-    snapshot bit-equal in behaviour to {!to_snapshot} of the same graph.
-    The set is consumed only by an explicit {!snapshot_written} — called
-    {e after} the capture is durable, so a failed write never loses
-    dirtiness. *)
+    restore even though frozen views never observe them.  The set is
+    consumed only by an explicit {!snapshot_written} — called {e after}
+    the capture is durable, so a failed write never loses dirtiness. *)
 
-(** Per-slot section of a delta: the slot's complete snapshot-visible
-    state at capture time (free slots appear with [sd_refcount = -1]). *)
-type slot_delta = {
-  sd_slot : int;
-  sd_refcount : int;
-  sd_gen : int;
-  sd_rank : int;
-  sd_succ : int array;
-  sd_links : (int64 * string * int) array;  (** empty when digests are off *)
-  sd_chain_of : int;
-  sd_chain_pos : int;
-}
+val to_delta : t -> snapshot
+(** Capture the slots dirtied since the last {!snapshot_written}, in
+    ascending order, plus every global.  Pure read — the dirty set
+    survives until {!snapshot_written}. *)
 
-(** A delta against the graph state as of the last {!snapshot_written}:
-    dirty slots in ascending order, plus the globals (free stack, rank
-    allocator, chain table, counters) captured wholesale — they are small
-    and churn too fast to diff. *)
-type delta = {
-  d_slots : slot_delta array;   (** ascending [sd_slot] order *)
-  d_next_slot : int;
-  d_free : int array;
-  d_next_rank : int;
-  d_traversals : int;
-  d_visited_total : int;
-  d_version : int;
-  d_chain_len : int array;
-  d_free_chains : int array;
-  d_digests : bool;
-}
-
-val to_delta : t -> delta
-(** Capture the slots dirtied since the last {!snapshot_written}.  Pure
-    read — the dirty set survives until {!snapshot_written}. *)
-
-val apply_delta : snapshot -> delta -> snapshot
-(** Overlay a delta on the base snapshot it was captured against.  Pure;
-    the composed snapshot is validated by {!of_snapshot} like any other.
-    @raise Invalid_argument when the base structurally cannot carry the
-    delta: a digest-carrying delta over a base without links, a delta
-    whose slot space is smaller than the base's, or one that grows the
-    slot space by more slots than it carries (every slot allocated after
-    the base is dirty, so a genuine delta never does; the check runs
-    before anything is allocated). *)
+val apply_delta : snapshot -> snapshot -> snapshot
+(** [apply_delta base d] overlays the slots [d] carries on the full
+    capture [base] it was taken against, taking the globals from [d]; the
+    result is a full capture, bit-equal in behaviour to {!to_snapshot} of
+    the same graph, and validated by {!of_snapshot} like any other.
+    @raise Invalid_argument when [base] is not a full capture or cannot
+    structurally carry [d]: a digest-carrying delta over a digest-less
+    base, a delta whose slot space is smaller than the base's, or one
+    that grows the slot space by more slots than it carries (every slot
+    allocated after the base is dirty, so a genuine delta never does; the
+    check runs before anything is allocated). *)
 
 val snapshot_written : t -> unit
 (** Mark the current state durably captured: clear the snapshot dirty set
@@ -348,8 +322,8 @@ val memory_bytes : t -> int
 (** Approximate resident footprint of all internal arrays, in bytes. *)
 
 val traversal_count : t -> int
-(** Number of graph traversals performed so far (bidirectional searches and
-    bounded cycle probes; rank-refuted answers never traverse). *)
+(** Number of BFS runs so far, by queries and by edge cycle checks alike;
+    answers that rank or labels settle never traverse. *)
 
 val visited_total : t -> int
 (** Total vertices visited across all traversals (work accounting): every

@@ -1,20 +1,22 @@
 open Kronos
 module Codec = Kronos_wire.Codec
 
-(* The format, after the header: the sequence number, the per-slot arrays
-   (refcounts biased by one, generations, adjacency, free stack), traversal
-   counters, the rank index, the engine counters, the commitment-chain
-   links (DESIGN.md §13), the graph mutation version (the view epoch,
-   DESIGN.md §14) and the chain-decomposition assignment (DESIGN.md §15).
-   Labels are not persisted — exact labels are a pure function of
-   adjacency + chains and are recomputed on restore.
+(* One format for full snapshots and deltas: the header, then a body of
+   the sequence number, the base sequence number (absent for a full
+   snapshot), and one capture.  The capture is columnar: the carried slot
+   numbers, then one column per slot field (refcount, generation, rank,
+   adjacency, chain id, chain position), the digest flag and, when set,
+   the commitment-chain links (DESIGN.md §13); then the globals (slot
+   high-water mark, free stack, rank allocator, traversal counters, the
+   graph mutation version — the view epoch of DESIGN.md §14 — and the
+   chain table of DESIGN.md §15) and the engine counters.  Labels are not
+   persisted — exact labels are a pure function of adjacency + chains and
+   are recomputed on restore.
 
-   The rank and chain sections keep the presence flag the format has
-   always carried; only the link section may be absent (a digest-disabled
-   engine).  The version field exists so a file from another format fails
+   The version field exists so a file from another format fails
    [validate] like any other unreadable file: builds before this format
-   wrote versions 1–4, which are no longer read. *)
-let version = 5
+   wrote versions 1–5, which are no longer read. *)
+let version = 6
 
 let magic = "KSNP"
 
@@ -26,57 +28,56 @@ let put_int_array e a =
 
 let get_int_array d = Array.of_list (Codec.get_list d Codec.get_u32)
 
-(* Ranks, chain positions and chain lengths are unbounded ints in
-   principle, so they travel as i64; per-slot chain ids are biased by one
-   so the -1 "unassigned" marker stays unsigned. *)
-let encode ~seq (s : Engine.snapshot) =
+(* Ranks, chain positions, chain lengths and counters are unbounded ints
+   in principle, so they travel as i64. *)
+let put_int e x = Codec.put_i64 e (Int64.of_int x)
+let get_int d = Int64.to_int (Codec.get_i64 d)
+
+(* Refcounts (-1 for a free slot) and chain ids (-1 for unassigned) are
+   biased by one to stay unsigned. *)
+let encode ?base_seq ~seq (s : Engine.snapshot) =
   let e = Codec.encoder () in
-  Codec.put_i64 e (Int64.of_int seq);
-  let g = s.Engine.snap_graph in
-  Codec.put_u32 e g.Graph.snap_next_slot;
-  (* refcounts include -1 for free slots: bias by one to stay unsigned *)
-  Codec.put_u32 e (Array.length g.Graph.snap_refcount);
-  Array.iter (fun rc -> Codec.put_u32 e (rc + 1)) g.Graph.snap_refcount;
-  put_int_array e g.Graph.snap_gen;
-  Codec.put_u32 e (Array.length g.Graph.snap_succ);
-  Array.iter (put_int_array e) g.Graph.snap_succ;
-  put_int_array e g.Graph.snap_free;
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_traversals);
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_visited_total);
-  Codec.put_bool e true;
-  Codec.put_u32 e (Array.length g.Graph.snap_rank);
-  Array.iter (fun r -> Codec.put_i64 e (Int64.of_int r)) g.Graph.snap_rank;
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_next_rank);
-  Codec.put_i64 e (Int64.of_int s.Engine.snap_creates);
-  Codec.put_i64 e (Int64.of_int s.Engine.snap_queries);
-  Codec.put_i64 e (Int64.of_int s.Engine.snap_assigns);
-  Codec.put_i64 e (Int64.of_int s.Engine.snap_aborted_batches);
-  Codec.put_i64 e (Int64.of_int s.Engine.snap_reversals);
-  Codec.put_i64 e (Int64.of_int s.Engine.snap_collected);
-  (match g.Graph.snap_links with
-   | Some links ->
+  put_int e seq;
+  (match base_seq with
+   | None -> Codec.put_bool e false
+   | Some b ->
      Codec.put_bool e true;
-     Codec.put_u32 e (Array.length links);
-     Array.iter
-       (fun ls ->
-         Codec.put_u32 e (Array.length ls);
-         Array.iter
-           (fun (pred, head, pos) ->
-             Codec.put_i64 e pred;
-             Codec.put_string e head;
-             Codec.put_i64 e (Int64.of_int pos))
-           ls)
-       links
-   | None -> Codec.put_bool e false);
-  Codec.put_i64 e (Int64.of_int g.Graph.snap_version);
-  let cs = g.Graph.snap_chains in
-  Codec.put_bool e true;
-  Codec.put_u32 e (Array.length cs.Graph.cs_chain_of);
-  Array.iter (fun c -> Codec.put_u32 e (c + 1)) cs.Graph.cs_chain_of;
-  Array.iter (fun p -> Codec.put_i64 e (Int64.of_int p)) cs.Graph.cs_chain_pos;
-  Codec.put_u32 e (Array.length cs.Graph.cs_chain_len);
-  Array.iter (fun l -> Codec.put_i64 e (Int64.of_int l)) cs.Graph.cs_chain_len;
-  put_int_array e cs.Graph.cs_free_chains;
+     put_int e b);
+  let g = s.Engine.snap_graph in
+  put_int_array e g.Graph.snap_slots;
+  Array.iter (fun rc -> Codec.put_u32 e (rc + 1)) g.Graph.snap_refcount;
+  Array.iter (Codec.put_u32 e) g.Graph.snap_gen;
+  Array.iter (put_int e) g.Graph.snap_rank;
+  Array.iter (put_int_array e) g.Graph.snap_succ;
+  Array.iter (fun c -> Codec.put_u32 e (c + 1)) g.Graph.snap_chain_of;
+  Array.iter (put_int e) g.Graph.snap_chain_pos;
+  Codec.put_bool e g.Graph.snap_digests;
+  if g.Graph.snap_digests then
+    Array.iter
+      (fun ls ->
+        Codec.put_u32 e (Array.length ls);
+        Array.iter
+          (fun (pred, head, pos) ->
+            Codec.put_i64 e pred;
+            Codec.put_string e head;
+            put_int e pos)
+          ls)
+      g.Graph.snap_digest_links;
+  Codec.put_u32 e g.Graph.snap_next_slot;
+  put_int_array e g.Graph.snap_free;
+  put_int e g.Graph.snap_next_rank;
+  put_int e g.Graph.snap_traversals;
+  put_int e g.Graph.snap_visited_total;
+  put_int e g.Graph.snap_version;
+  Codec.put_u32 e (Array.length g.Graph.snap_chain_len);
+  Array.iter (put_int e) g.Graph.snap_chain_len;
+  put_int_array e g.Graph.snap_free_chains;
+  put_int e s.Engine.snap_creates;
+  put_int e s.Engine.snap_queries;
+  put_int e s.Engine.snap_assigns;
+  put_int e s.Engine.snap_aborted_batches;
+  put_int e s.Engine.snap_reversals;
+  put_int e s.Engine.snap_collected;
   let body = Codec.to_string e in
   let b = Buffer.create (String.length body + header_bytes) in
   Buffer.add_string b magic;
@@ -85,7 +86,7 @@ let encode ~seq (s : Engine.snapshot) =
   Buffer.add_string b body;
   Buffer.contents b
 
-(* Header check shared by [decode] and the send and compaction paths:
+(* Header check shared by the decoder and the send and compaction paths:
    returns the body on success. *)
 let validate data =
   if String.length data < header_bytes then
@@ -106,77 +107,75 @@ let is_valid data =
   | (_ : string) -> true
   | exception Codec.Decode_error _ -> false
 
-let get_int64 d = Int64.to_int (Codec.get_i64 d)
-
-let decode data =
+(* Fields are bound in file order: record fields evaluate in no fixed
+   order. *)
+let decode_any data =
   let body = validate data in
   let d = Codec.decoder body in
-  let section what =
-    if not (Codec.get_bool d) then
-      raise (Codec.Decode_error ("snapshot: missing " ^ what ^ " section"))
-  in
   let count what =
     let n = Codec.get_u32 d in
     if n > String.length body then
       raise (Codec.Decode_error ("snapshot: absurd " ^ what ^ " count"));
     n
   in
-  let seq = get_int64 d in
-  let snap_next_slot = Codec.get_u32 d in
-  let snap_refcount =
-    Array.map (fun x -> x - 1) (get_int_array d)
-  in
-  let snap_gen = get_int_array d in
-  let n = count "adjacency" in
-  let snap_succ = Array.init n (fun _ -> get_int_array d) in
-  let snap_free = get_int_array d in
-  let snap_traversals = get_int64 d in
-  let snap_visited_total = get_int64 d in
-  section "rank";
-  let snap_rank = Array.init (count "rank") (fun _ -> get_int64 d) in
-  let snap_next_rank = get_int64 d in
-  let snap_creates = get_int64 d in
-  let snap_queries = get_int64 d in
-  let snap_assigns = get_int64 d in
-  let snap_aborted_batches = get_int64 d in
-  let snap_reversals = get_int64 d in
-  let snap_collected = get_int64 d in
-  let snap_links =
-    if not (Codec.get_bool d) then None
+  let seq = get_int d in
+  let base_seq = if Codec.get_bool d then Some (get_int d) else None in
+  let snap_slots = Array.init (count "slot") (fun _ -> Codec.get_u32 d) in
+  let column get = Array.map (fun _ -> get d) snap_slots in
+  let snap_refcount = column (fun d -> Codec.get_u32 d - 1) in
+  let snap_gen = column Codec.get_u32 in
+  let snap_rank = column get_int in
+  let snap_succ = column get_int_array in
+  let snap_chain_of = column (fun d -> Codec.get_u32 d - 1) in
+  let snap_chain_pos = column get_int in
+  let snap_digests = Codec.get_bool d in
+  let snap_digest_links =
+    if not snap_digests then Array.map (fun _ -> [||]) snap_slots
     else
-      Some
-        (Array.init (count "link table") (fun _ ->
-             Array.init (count "link") (fun _ ->
-                 let pred = Codec.get_i64 d in
-                 let head = Codec.get_string d in
-                 let pos = get_int64 d in
-                 (pred, head, pos))))
+      column (fun d ->
+          Array.init (count "link") (fun _ ->
+              let pred = Codec.get_i64 d in
+              let head = Codec.get_string d in
+              let pos = get_int d in
+              (pred, head, pos)))
   in
-  let snap_version = get_int64 d in
-  section "chain";
-  let nslots = count "chain table" in
-  let cs_chain_of = Array.init nslots (fun _ -> Codec.get_u32 d - 1) in
-  let cs_chain_pos = Array.init nslots (fun _ -> get_int64 d) in
-  let cs_chain_len = Array.init (count "chain") (fun _ -> get_int64 d) in
-  let cs_free_chains = get_int_array d in
+  let snap_next_slot = Codec.get_u32 d in
+  let snap_free = get_int_array d in
+  let snap_next_rank = get_int d in
+  let snap_traversals = get_int d in
+  let snap_visited_total = get_int d in
+  let snap_version = get_int d in
+  let snap_chain_len = Array.init (count "chain") (fun _ -> get_int d) in
+  let snap_free_chains = get_int_array d in
+  let snap_creates = get_int d in
+  let snap_queries = get_int d in
+  let snap_assigns = get_int d in
+  let snap_aborted_batches = get_int d in
+  let snap_reversals = get_int d in
+  let snap_collected = get_int d in
   Codec.expect_end d;
   ( seq,
+    base_seq,
     {
       Engine.snap_graph =
         {
-          Graph.snap_next_slot;
+          Graph.snap_slots;
           snap_refcount;
           snap_gen;
-          snap_succ;
-          snap_free;
           snap_rank;
+          snap_succ;
+          snap_digest_links;
+          snap_chain_of;
+          snap_chain_pos;
+          snap_next_slot;
+          snap_free;
           snap_next_rank;
           snap_traversals;
           snap_visited_total;
-          snap_links;
           snap_version;
-          snap_chains =
-            { Graph.cs_chain_of; cs_chain_pos; cs_chain_len; cs_free_chains };
+          snap_chain_len;
+          snap_free_chains;
+          snap_digests;
         };
       snap_creates;
       snap_queries;
@@ -186,230 +185,82 @@ let decode data =
       snap_collected;
     } )
 
-let filename ~seq = Printf.sprintf "snap-%010d.snap" seq
+let decode data =
+  match decode_any data with
+  | seq, None, s -> (seq, s)
+  | _, Some _, _ ->
+    raise (Codec.Decode_error "snapshot: a delta, not a full file")
 
-let parse_filename name =
-  if String.length name = 20
-     && String.sub name 0 5 = "snap-"
-     && Filename.check_suffix name ".snap"
-  then int_of_string_opt (String.sub name 5 10)
+(* File names say which kind a file holds, so compaction can sort files
+   without reading them. *)
+let filename ~seq = Printf.sprintf "snap-%010d.snap" seq
+let delta_filename ~seq = Printf.sprintf "delta-%010d.delta" seq
+
+let parse ~prefix ~suffix name =
+  let p = String.length prefix in
+  if String.length name = p + 10 + String.length suffix
+     && String.starts_with ~prefix name
+     && Filename.check_suffix name suffix
+  then int_of_string_opt (String.sub name p 10)
   else None
+
+let parse_filename = parse ~prefix:"snap-" ~suffix:".snap"
+let parse_delta_filename = parse ~prefix:"delta-" ~suffix:".delta"
 
 let m_writes =
   Kronos_metrics.counter (Kronos_metrics.scope "snapshot") "writes_total"
 
-let m_bytes =
-  Kronos_metrics.counter (Kronos_metrics.scope "snapshot") "bytes_written_total"
-
-let write_bytes storage ~seq data =
-  Kronos_metrics.Counter.incr m_writes;
-  Kronos_metrics.Counter.add m_bytes (String.length data);
-  let final = filename ~seq in
-  let tmp = Printf.sprintf "snap-%010d.tmp" seq in
-  storage.Storage.remove_file tmp;
-  let w = storage.Storage.open_append tmp in
-  w.Storage.append data;
-  w.Storage.sync ();
-  w.Storage.close ();
-  storage.Storage.rename_file tmp final
-
-let write storage ~seq engine =
-  write_bytes storage ~seq (encode ~seq (Engine.to_snapshot engine))
-
-let list_snapshots storage =
-  storage.Storage.list_files ()
-  |> List.filter_map (fun n -> Option.map (fun s -> (s, n)) (parse_filename n))
-  |> List.sort (fun a b -> compare b a) (* newest first *)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental snapshots (DESIGN.md §16).                              *)
-(*                                                                     *)
-(* A delta file ([delta-<seq>.delta], magic KSND) carries an           *)
-(* [Engine.delta] against the snapshot state at [base_seq] — itself a  *)
-(* full file or another delta, forming a chain that terminates in a    *)
-(* full snapshot.  Recovery resolves the newest head whose whole chain *)
-(* is intact; any corrupt or missing link makes the resolver fall back *)
-(* to the next older head, exactly like corrupt full snapshots.        *)
-(* ------------------------------------------------------------------ *)
-
-let delta_version = 1
-let delta_magic = "KSND"
-
-let encode_delta ~base_seq ~seq (d : Engine.delta) =
-  let e = Codec.encoder () in
-  Codec.put_i64 e (Int64.of_int base_seq);
-  Codec.put_i64 e (Int64.of_int seq);
-  let gd = d.Engine.delta_graph in
-  Codec.put_u32 e (Array.length gd.Graph.d_slots);
-  Array.iter
-    (fun sd ->
-      Codec.put_u32 e sd.Graph.sd_slot;
-      Codec.put_u32 e (sd.Graph.sd_refcount + 1);
-      Codec.put_u32 e sd.Graph.sd_gen;
-      Codec.put_i64 e (Int64.of_int sd.Graph.sd_rank);
-      put_int_array e sd.Graph.sd_succ;
-      Codec.put_u32 e (Array.length sd.Graph.sd_links);
-      Array.iter
-        (fun (pred, head, pos) ->
-          Codec.put_i64 e pred;
-          Codec.put_string e head;
-          Codec.put_i64 e (Int64.of_int pos))
-        sd.Graph.sd_links;
-      Codec.put_u32 e (sd.Graph.sd_chain_of + 1);
-      Codec.put_i64 e (Int64.of_int sd.Graph.sd_chain_pos))
-    gd.Graph.d_slots;
-  Codec.put_u32 e gd.Graph.d_next_slot;
-  put_int_array e gd.Graph.d_free;
-  Codec.put_i64 e (Int64.of_int gd.Graph.d_next_rank);
-  Codec.put_i64 e (Int64.of_int gd.Graph.d_traversals);
-  Codec.put_i64 e (Int64.of_int gd.Graph.d_visited_total);
-  Codec.put_i64 e (Int64.of_int gd.Graph.d_version);
-  Codec.put_u32 e (Array.length gd.Graph.d_chain_len);
-  Array.iter (fun l -> Codec.put_i64 e (Int64.of_int l)) gd.Graph.d_chain_len;
-  put_int_array e gd.Graph.d_free_chains;
-  Codec.put_bool e gd.Graph.d_digests;
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_creates);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_queries);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_assigns);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_aborted_batches);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_reversals);
-  Codec.put_i64 e (Int64.of_int d.Engine.delta_collected);
-  let body = Codec.to_string e in
-  let b = Buffer.create (String.length body + header_bytes) in
-  Buffer.add_string b delta_magic;
-  Buffer.add_uint16_be b delta_version;
-  Buffer.add_int32_be b (Crc32.string body);
-  Buffer.add_string b body;
-  Buffer.contents b
-
-let validate_delta data =
-  if String.length data < header_bytes then
-    raise (Codec.Decode_error "delta: truncated header");
-  if String.sub data 0 4 <> delta_magic then
-    raise (Codec.Decode_error "delta: bad magic");
-  let v = String.get_uint16_be data 4 in
-  if v <> delta_version then
-    raise (Codec.Decode_error (Printf.sprintf "delta: unsupported version %d" v));
-  let crc = String.get_int32_be data 6 in
-  let body = String.sub data header_bytes (String.length data - header_bytes) in
-  if Crc32.string body <> crc then
-    raise (Codec.Decode_error "delta: checksum mismatch");
-  body
-
-let decode_delta data =
-  let body = validate_delta data in
-  let d = Codec.decoder body in
-  let base_seq = get_int64 d in
-  let seq = get_int64 d in
-  let nslots = Codec.get_u32 d in
-  if nslots > String.length body then
-    raise (Codec.Decode_error "delta: absurd slot count");
-  let d_slots =
-    Array.init nslots (fun _ ->
-        let sd_slot = Codec.get_u32 d in
-        let sd_refcount = Codec.get_u32 d - 1 in
-        let sd_gen = Codec.get_u32 d in
-        let sd_rank = get_int64 d in
-        let sd_succ = get_int_array d in
-        let nlinks = Codec.get_u32 d in
-        if nlinks > String.length body then
-          raise (Codec.Decode_error "delta: absurd link count");
-        let sd_links =
-          Array.init nlinks (fun _ ->
-              let pred = Codec.get_i64 d in
-              let head = Codec.get_string d in
-              let pos = get_int64 d in
-              (pred, head, pos))
-        in
-        let sd_chain_of = Codec.get_u32 d - 1 in
-        let sd_chain_pos = get_int64 d in
-        {
-          Graph.sd_slot;
-          sd_refcount;
-          sd_gen;
-          sd_rank;
-          sd_succ;
-          sd_links;
-          sd_chain_of;
-          sd_chain_pos;
-        })
-  in
-  let d_next_slot = Codec.get_u32 d in
-  let d_free = get_int_array d in
-  let d_next_rank = get_int64 d in
-  let d_traversals = get_int64 d in
-  let d_visited_total = get_int64 d in
-  let d_version = get_int64 d in
-  let nchains = Codec.get_u32 d in
-  if nchains > String.length body then
-    raise (Codec.Decode_error "delta: absurd chain count");
-  let d_chain_len = Array.init nchains (fun _ -> get_int64 d) in
-  let d_free_chains = get_int_array d in
-  let d_digests = Codec.get_bool d in
-  let delta_creates = get_int64 d in
-  let delta_queries = get_int64 d in
-  let delta_assigns = get_int64 d in
-  let delta_aborted_batches = get_int64 d in
-  let delta_reversals = get_int64 d in
-  let delta_collected = get_int64 d in
-  Codec.expect_end d;
-  ( base_seq,
-    seq,
-    {
-      Engine.delta_graph =
-        {
-          Graph.d_slots;
-          d_next_slot;
-          d_free;
-          d_next_rank;
-          d_traversals;
-          d_visited_total;
-          d_version;
-          d_chain_len;
-          d_free_chains;
-          d_digests;
-        };
-      delta_creates;
-      delta_queries;
-      delta_assigns;
-      delta_aborted_batches;
-      delta_reversals;
-      delta_collected;
-    } )
-
-let delta_filename ~seq = Printf.sprintf "delta-%010d.delta" seq
-
-let parse_delta_filename name =
-  if String.length name = 22
-     && String.sub name 0 6 = "delta-"
-     && Filename.check_suffix name ".delta"
-  then int_of_string_opt (String.sub name 6 10)
-  else None
-
 let m_delta_writes =
   Kronos_metrics.counter (Kronos_metrics.scope "snapshot") "delta_writes_total"
 
-let write_delta_bytes storage ~seq data =
-  Kronos_metrics.Counter.incr m_delta_writes;
-  Kronos_metrics.Counter.add m_bytes (String.length data);
-  let final = delta_filename ~seq in
-  let tmp = Printf.sprintf "delta-%010d.tmp" seq in
+let m_bytes =
+  Kronos_metrics.counter (Kronos_metrics.scope "snapshot") "bytes_written_total"
+
+(* tmp -> sync -> rename, so a crash mid-write never leaves a readable but
+   bogus file under the final name. *)
+let persist storage name data =
+  let tmp = Filename.remove_extension name ^ ".tmp" in
   storage.Storage.remove_file tmp;
   let w = storage.Storage.open_append tmp in
   w.Storage.append data;
   w.Storage.sync ();
   w.Storage.close ();
-  storage.Storage.rename_file tmp final
+  storage.Storage.rename_file tmp name
 
-let write_delta storage ~base_seq ~seq engine =
-  write_delta_bytes storage ~seq
-    (encode_delta ~base_seq ~seq (Engine.to_delta engine))
+let write_file storage counter name data =
+  Kronos_metrics.Counter.incr counter;
+  Kronos_metrics.Counter.add m_bytes (String.length data);
+  persist storage name data
 
-let list_deltas storage =
+let write_bytes storage ~seq data =
+  write_file storage m_writes (filename ~seq) data
+
+let write ?base_seq storage ~seq engine =
+  match base_seq with
+  | None -> write_bytes storage ~seq (encode ~seq (Engine.to_snapshot engine))
+  | Some _ ->
+    write_file storage m_delta_writes (delta_filename ~seq)
+      (encode ?base_seq ~seq (Engine.to_delta engine))
+
+(* Files that [parse] names, newest first. *)
+let files_named storage parse =
   storage.Storage.list_files ()
-  |> List.filter_map (fun n ->
-         Option.map (fun s -> (s, n)) (parse_delta_filename n))
-  |> List.sort (fun a b -> compare b a) (* newest first *)
+  |> List.filter_map (fun n -> Option.map (fun s -> (s, n)) (parse n))
+  |> List.sort (fun a b -> compare b a)
+
+let list_snapshots storage = files_named storage parse_filename
+let list_deltas storage = files_named storage parse_delta_filename
+
+(* ------------------------------------------------------------------ *)
+(* Recovery heads (DESIGN.md §16).                                     *)
+(*                                                                     *)
+(* A delta file carries a capture against the snapshot state at its    *)
+(* base — itself a full file or another delta, forming a chain that    *)
+(* terminates in a full snapshot.  Recovery resolves the newest head   *)
+(* whose whole chain is intact; any corrupt or missing link makes the  *)
+(* resolver fall back to the next older head, exactly like corrupt     *)
+(* full snapshots.                                                     *)
+(* ------------------------------------------------------------------ *)
 
 (* Fuel for chain resolution: a delta chain longer than this is treated as
    unresolvable (policies cap chains at a handful of links; only corrupt
@@ -421,33 +272,27 @@ let max_chain_depth = 1024
    overlays.  Returns the composed snapshot and the number of deltas
    applied, or [None] when any link of the chain is missing or corrupt. *)
 let rec state_at storage ~fuel seq =
-  let full =
-    match storage.Storage.read_file (filename ~seq) with
+  let read name =
+    match storage.Storage.read_file name with
     | None -> None
     | Some data -> (
-        match decode data with
-        | s, snap when s = seq -> Some (snap, 0)
-        | _ -> None
-        | exception (Codec.Decode_error _ | Invalid_argument _) -> None)
+        try Some (decode_any data)
+        with Codec.Decode_error _ | Invalid_argument _ -> None)
   in
-  match full with
-  | Some _ -> full
-  | None -> (
+  match read (filename ~seq) with
+  | Some (s, None, snap) when s = seq -> Some (snap, 0)
+  | _ -> (
       if fuel <= 0 then None
       else
-        match storage.Storage.read_file (delta_filename ~seq) with
-        | None -> None
-        | Some data -> (
-            match decode_delta data with
-            | base_seq, s, d when s = seq && base_seq < seq -> (
-                match state_at storage ~fuel:(fuel - 1) base_seq with
-                | None -> None
-                | Some (base, applied) -> (
-                    match Engine.apply_delta base d with
-                    | snap -> Some (snap, applied + 1)
-                    | exception Invalid_argument _ -> None))
-            | _ -> None
-            | exception (Codec.Decode_error _ | Invalid_argument _) -> None))
+        match read (delta_filename ~seq) with
+        | Some (s, Some base_seq, d) when s = seq && base_seq < seq -> (
+            match state_at storage ~fuel:(fuel - 1) base_seq with
+            | None -> None
+            | Some (base, applied) -> (
+                match Engine.apply_delta base d with
+                | snap -> Some (snap, applied + 1)
+                | exception Invalid_argument _ -> None))
+        | _ -> None)
 
 (* Candidate recovery heads: every sequence number holding a full or delta
    file, newest first. *)
@@ -499,13 +344,7 @@ let write_manifest storage ~head kept =
   Buffer.add_string b "kronos-manifest 1\n";
   Buffer.add_string b (Printf.sprintf "head %d\n" head);
   List.iter (fun n -> Buffer.add_string b (n ^ "\n")) kept;
-  let tmp = manifest_name ^ ".tmp" in
-  storage.Storage.remove_file tmp;
-  let w = storage.Storage.open_append tmp in
-  w.Storage.append (Buffer.contents b);
-  w.Storage.sync ();
-  w.Storage.close ();
-  storage.Storage.rename_file tmp manifest_name
+  persist storage manifest_name (Buffer.contents b)
 
 let read_manifest storage =
   match storage.Storage.read_file manifest_name with
@@ -534,60 +373,63 @@ let m_retired =
 
 (* Retire snapshot files made redundant by newer durable state: delta
    files at or below the newest valid full snapshot (the full already
-   covers them), full files beyond the newest [keep], and stray
-   temporaries.  Crash ordering is the caller's: the covering snapshot is
-   written and synced {e before} compact unlinks anything, and unlinking
-   is idempotent — a crash mid-compact leaves extra files that the next
-   compact retires and recovery happily ignores.  Returns the number of
-   files removed. *)
+   covers them), fulls older than the newest [keep] checksum-valid ones
+   (rotten fulls count for nothing, so the newest valid full always
+   stays), and stray temporaries.  The manifest naming the head and the
+   kept files is written {e before} anything is unlinked, so a crash
+   mid-compaction leaves extra files, never a manifest naming removed
+   ones; unlinking is idempotent and the next compact retires what is
+   left.  Returns the number of files removed. *)
 let compact storage ~keep =
-  let keep = max keep 1 in
-  let removed = ref 0 in
-  let remove name =
-    storage.Storage.remove_file name;
-    incr removed;
-    Kronos_metrics.Counter.incr m_retired
+  let valid name =
+    match storage.Storage.read_file name with
+    | Some data -> is_valid data
+    | None -> false
   in
-  let fulls =
-    List.filter
-      (fun (_, name) ->
-        match storage.Storage.read_file name with
-        | None -> false
-        | Some data -> is_valid data)
-      (list_snapshots storage)
+  let valid_fulls =
+    List.filter (fun (_, n) -> valid n) (list_snapshots storage)
   in
-  let newest_full = match fulls with (s, _) :: _ -> s | [] -> min_int in
-  List.iter
-    (fun (seq, name) -> if seq <= newest_full then remove name)
-    (list_deltas storage);
-  List.iteri
-    (fun i (_, name) -> if i >= keep then remove name)
-    (list_snapshots storage);
-  (* corrupt fulls older than the newest valid one are unrecoverable
-     anyway once a valid newer head exists; leave newer ones (they may be
-     mid-write by a concurrent path) *)
-  storage.Storage.list_files ()
-  |> List.iter (fun n ->
-         if Filename.check_suffix n ".tmp"
-            && String.length n >= 6
-            && (String.sub n 0 5 = "snap-" || String.sub n 0 6 = "delta-")
-         then remove n);
+  let newest_full = match valid_fulls with (s, _) :: _ -> s | [] -> min_int in
+  let oldest_kept =
+    match List.nth_opt valid_fulls (max keep 1 - 1) with
+    | Some (s, _) -> s
+    | None -> min_int
+  in
+  let doomed =
+    List.filter_map
+      (fun (seq, n) -> if seq <= newest_full then Some n else None)
+      (list_deltas storage)
+    @ List.filter_map
+        (fun (seq, n) -> if seq < oldest_kept then Some n else None)
+        (list_snapshots storage)
+    @ List.filter
+        (fun n ->
+          Filename.check_suffix n ".tmp"
+          && (String.starts_with ~prefix:"snap-" n
+              || String.starts_with ~prefix:"delta-" n))
+        (storage.Storage.list_files ())
+  in
   let kept =
-    storage.Storage.list_files ()
-    |> List.filter (fun n ->
-           parse_filename n <> None || parse_delta_filename n <> None)
+    List.filter
+      (fun n ->
+        (parse_filename n <> None || parse_delta_filename n <> None)
+        && not (List.mem n doomed))
+      (storage.Storage.list_files ())
   in
   (* The manifest records the head recovery would actually resolve, not
      just the newest file name — a torn newest file must not be audited as
      the head it can never be.  Checksum-valid fulls short-circuit the
-     chain walk. *)
+     chain walk.  No head resolves through a doomed file: every head is at
+     or above the newest valid full. *)
   let resolvable seq =
-    (match storage.Storage.read_file (filename ~seq) with
-     | Some data -> is_valid data
-     | None -> false)
-    || state_at storage ~fuel:max_chain_depth seq <> None
+    valid (filename ~seq) || state_at storage ~fuel:max_chain_depth seq <> None
   in
   (match List.find_opt resolvable (heads storage) with
    | Some head -> write_manifest storage ~head kept
    | None -> storage.Storage.remove_file manifest_name);
-  !removed
+  List.iter
+    (fun name ->
+      storage.Storage.remove_file name;
+      Kronos_metrics.Counter.incr m_retired)
+    doomed;
+  List.length doomed

@@ -177,17 +177,17 @@ let start_durable_replica ~net ~addr ~engine_config ~service ~query_pool d =
   let deltas_since_full = ref 0 in
   let bytes_mark = ref (Durability.Wal.logged_bytes wal) in
   let write_snapshot ~upto =
-    let p = d.policy in
-    if !last_full > 0 && !deltas_since_full < p.max_delta_chain then begin
-      Durability.Snapshot.write_delta storage ~base_seq:!last_snap ~seq:upto
-        !engine;
-      incr deltas_since_full
-    end
-    else begin
-      Durability.Snapshot.write storage ~seq:upto !engine;
-      last_full := upto;
-      deltas_since_full := 0
-    end;
+    let base_seq =
+      if !last_full > 0 && !deltas_since_full < d.policy.max_delta_chain then
+        Some !last_snap
+      else None
+    in
+    Durability.Snapshot.write ?base_seq storage ~seq:upto !engine;
+    (match base_seq with
+     | Some _ -> incr deltas_since_full
+     | None ->
+       last_full := upto;
+       deltas_since_full := 0);
     (* the capture is durable (tmp -> sync -> rename): only now may the
        dirty set restart, and only now may covered files be retired *)
     Engine.snapshot_written !engine;

@@ -389,7 +389,7 @@ let test_snapshot_v3_roundtrip () =
   let seq, snap = Snapshot.decode data in
   Alcotest.(check int) "seq" 9 seq;
   Alcotest.(check bool) "v3 carries links" true
-    (snap.Engine.snap_graph.Graph.snap_links <> None);
+    snap.Engine.snap_graph.Graph.snap_digests;
   let restored = Engine.of_snapshot snap in
   (* exact chains restored: every live commitment is bit-identical *)
   check_same_commitments "v3 roundtrip" (live_commitments engine ids) restored;
@@ -429,12 +429,14 @@ let prop_stripped_links_rebuild =
         {
           snap with
           Engine.snap_graph =
-            { snap.Engine.snap_graph with Graph.snap_links = None };
+            { snap.Engine.snap_graph with Graph.snap_digests = false };
         }
       in
       let _, decoded = Snapshot.decode (Snapshot.encode ~seq:7 stripped) in
-      if decoded.Engine.snap_graph.Graph.snap_links <> None then
-        Test.fail_report "stripped bytes carry links";
+      let dg = decoded.Engine.snap_graph in
+      if dg.Graph.snap_digests
+         || Array.exists (fun ls -> ls <> [||]) dg.Graph.snap_digest_links
+      then Test.fail_report "stripped bytes carry links";
       let r1 = Engine.of_snapshot decoded in
       let r2 = Engine.of_snapshot stripped in
       Array.iter

@@ -191,22 +191,74 @@ let check_engines_agree what ids reference candidate =
         ids)
     ids
 
+(* A full capture at a random split point and a delta of the rest at the
+   end, both through bytes: composing them reproduces the live engine, now
+   and under future commands.  The delta carries exactly the slots
+   dirtied since [snapshot_written], is refused by [decode] and — being
+   partial — by [of_snapshot] on its own, and a flipped bit in either file
+   is caught by the checksum. *)
 let prop_snapshot_round_trip =
   let open QCheck2 in
   Test.make ~name:"snapshot round trip preserves behaviour" ~count:25
-    Gen.(int_range 0 10_000)
-    (fun seed ->
+    Gen.(pair (int_range 0 10_000) (int_range 0 100))
+    (fun (seed, pct) ->
       let ids, cmds = workload ~seed ~n:24 ~m:48 in
+      let cmds = Array.of_list cmds in
+      let total = Array.length cmds in
+      let split = total * pct / 100 in
       let reference = Engine.create () in
-      List.iter (fun c -> ignore (Kronos_service.Server.apply reference c)) cmds;
-      let restored = Engine.of_snapshot (Engine.to_snapshot reference) in
-      check_engines_agree "round trip" ids reference restored;
+      let run lo hi =
+        for i = lo to hi - 1 do
+          ignore (Kronos_service.Server.apply reference cmds.(i))
+        done
+      in
+      run 0 split;
+      let full = Snapshot.encode ~seq:split (Engine.to_snapshot reference) in
+      Engine.snapshot_written reference;
+      Alcotest.(check int) "dirty set cleared after capture" 0
+        (Engine.dirty_slot_count reference);
+      run split total;
+      (* the workload ends in releases, which always mutate *)
+      if split < total then
+        Alcotest.(check bool) "mutations re-dirty the engine" true
+          (Engine.dirty_slot_count reference > 0);
+      let delta = Engine.to_delta reference in
+      let dg = delta.Engine.snap_graph in
+      Alcotest.(check int) "delta carries exactly the dirty slots"
+        (Engine.dirty_slot_count reference)
+        (Array.length dg.Graph.snap_slots);
+      let dbytes = Snapshot.encode ~base_seq:split ~seq:total delta in
+      (match Snapshot.decode dbytes with
+       | _ -> Alcotest.fail "decode accepted a delta"
+       | exception Kronos_wire.Codec.Decode_error _ -> ());
+      if Array.length dg.Graph.snap_slots < dg.Graph.snap_next_slot then begin
+        match Engine.of_snapshot delta with
+        | _ -> Alcotest.fail "a partial capture restored"
+        | exception Invalid_argument _ -> ()
+      end;
+      let seq, base = Snapshot.decode full in
+      let dseq, base_seq, d = Snapshot.decode_any dbytes in
+      Alcotest.(check int) "full seq" split seq;
+      Alcotest.(check int) "delta seq" total dseq;
+      Alcotest.(check (option int)) "delta base seq" (Some split) base_seq;
+      let restored = Engine.of_snapshot (Engine.apply_delta base d) in
+      check_engines_agree "base + delta" ids reference restored;
       (* behavioural identity extends to future commands: slot reuse and
          fresh ids must match too *)
       let a = Engine.create_event reference and b = Engine.create_event restored in
       if not (Event_id.equal a b) then
         Alcotest.fail "fresh ids diverge after restore";
       check_engines_agree "after more commands" ids reference restored;
+      List.iter
+        (fun bytes ->
+          let flipped = Bytes.of_string bytes in
+          let last = Bytes.length flipped - 1 in
+          Bytes.set flipped last
+            (Char.chr (Char.code (Bytes.get flipped last) lxor 1));
+          match Snapshot.decode_any (Bytes.to_string flipped) with
+          | _ -> Alcotest.fail "corrupt snapshot decoded"
+          | exception Kronos_wire.Codec.Decode_error _ -> ())
+        [ full; dbytes ];
       true)
 
 (* Snapshots persist the chain decomposition behind the label index.  The
@@ -238,14 +290,12 @@ let test_snapshot_v5_chains () =
         ids)
     ids;
   (* a corrupt chain section must raise, not load *)
-  let cs = snap.Engine.snap_graph.Graph.snap_chains in
-  let bad_of = Array.copy cs.Graph.cs_chain_of in
+  let bad_of = Array.copy snap.Engine.snap_graph.Graph.snap_chain_of in
   bad_of.(0) <- 9999;
   let bad =
     { snap with
       Engine.snap_graph =
-        { snap.Engine.snap_graph with
-          Graph.snap_chains = { cs with Graph.cs_chain_of = bad_of } } }
+        { snap.Engine.snap_graph with Graph.snap_chain_of = bad_of } }
   in
   match Engine.of_snapshot bad with
   | _ -> Alcotest.fail "corrupt chain section accepted"
@@ -374,7 +424,7 @@ let test_recovery_after_crash_loses_only_unsynced () =
    and then the full under the surviving delta are corrupted it falls back
    link by link — past a delta whose base is gone — to an older full,
    restoring exactly that prefix's state.  A newer file of another format
-   version (what a build before this format wrote) is skipped like any
+   version (version 5, the format before this one) is skipped like any
    other unreadable file. *)
 let test_corrupt_head_fallback () =
   let ids, cmds = workload ~seed:41 ~n:14 ~m:24 in
@@ -390,17 +440,17 @@ let test_corrupt_head_fallback () =
       if seq = 8 || seq = 16 || seq = 24 then
         Snapshot.write storage ~seq engine;
       if seq = 32 || seq = total then
-        Snapshot.write_delta storage ~base_seq:(seq - 8) ~seq engine;
+        Snapshot.write ~base_seq:(seq - 8) storage ~seq engine;
       if seq >= 24 && seq mod 8 = 0 then Engine.snapshot_written engine)
     cmds;
-  (* a newer full in another format version: same body, header says v4 *)
+  (* a newer full in another format version: same body, header says v5 *)
   let foreign =
     Bytes.of_string (Snapshot.encode ~seq:48 (Engine.to_snapshot engine))
   in
-  Bytes.set_uint16_be foreign 4 4;
+  Bytes.set_uint16_be foreign 4 5;
   Snapshot.write_bytes storage ~seq:48 (Bytes.to_string foreign);
   (match Snapshot.decode (Bytes.to_string foreign) with
-   | _ -> Alcotest.fail "a v4 header decoded"
+   | _ -> Alcotest.fail "a v5 header decoded"
    | exception Kronos_wire.Codec.Decode_error _ -> ());
   let reference_at n =
     let r = Engine.create () in
@@ -430,48 +480,13 @@ let test_corrupt_head_fallback () =
   rot (Snapshot.filename ~seq:24);
   expect "base full rotten" ~seq:16 ~applied:0
 
-(* A delta captures exactly the slots dirtied since the base was written:
-   composing it back onto the base reproduces the live engine, the wire
-   encoding round-trips, and a flipped bit is caught by the checksum. *)
-let test_delta_round_trip () =
-  let ids, cmds = workload ~seed:29 ~n:12 ~m:18 in
-  let cmds = Array.of_list cmds in
-  let half = Array.length cmds / 2 in
-  let engine = Engine.create () in
-  for i = 0 to half - 1 do
-    ignore (Kronos_service.Server.apply engine cmds.(i))
-  done;
-  let base = Engine.to_snapshot engine in
-  Engine.snapshot_written engine;
-  Alcotest.(check int) "dirty set cleared after capture" 0
-    (Engine.dirty_slot_count engine);
-  for i = half to Array.length cmds - 1 do
-    ignore (Kronos_service.Server.apply engine cmds.(i))
-  done;
-  Alcotest.(check bool) "mutations re-dirty the engine" true
-    (Engine.dirty_slot_count engine > 0);
-  let d = Engine.to_delta engine in
-  let bytes = Snapshot.encode_delta ~base_seq:half ~seq:(Array.length cmds) d in
-  let base_seq, seq, decoded = Snapshot.decode_delta bytes in
-  Alcotest.(check int) "delta base seq" half base_seq;
-  Alcotest.(check int) "delta seq" (Array.length cmds) seq;
-  let composed = Engine.of_snapshot (Engine.apply_delta base decoded) in
-  check_engines_agree "base + delta equals live engine" ids engine composed;
-  (* corrupting the encoding must be detected by the checksum *)
-  let flipped = Bytes.of_string bytes in
-  Bytes.set flipped (Bytes.length flipped - 1)
-    (Char.chr (Char.code (Bytes.get flipped (Bytes.length flipped - 1)) lxor 1));
-  try
-    ignore (Snapshot.decode_delta (Bytes.to_string flipped));
-    Alcotest.fail "corrupt delta decoded"
-  with Kronos_wire.Codec.Decode_error _ -> ()
-
 (* A delta is CRC-checked but its counts are not: one that claims to grow
    the slot space by more slots than it carries (no genuine delta does —
    every slot allocated after the base is dirty) must be refused before
    the composition sizes anything by it, and recovery must fall back to
    the full snapshot under it.  [0xFFFF_FFFF] slots would otherwise ask
-   for arrays of four billion entries. *)
+   for arrays of four billion entries.  A partial capture never restores
+   without its base. *)
 let test_delta_slot_bound () =
   let _ids, cmds = workload ~seed:37 ~n:12 ~m:18 in
   let cmds = Array.of_list cmds in
@@ -489,18 +504,23 @@ let test_delta_slot_bound () =
     ignore (Kronos_service.Server.apply engine cmds.(i))
   done;
   let genuine = Engine.to_delta engine in
-  let gd = genuine.Engine.delta_graph in
+  let gd = genuine.Engine.snap_graph in
   Alcotest.(check bool) "a genuine delta carries every new slot" true
-    (gd.Graph.d_next_slot - base_slots <= Array.length gd.Graph.d_slots);
+    (gd.Graph.snap_next_slot - base_slots <= Array.length gd.Graph.snap_slots);
+  Alcotest.(check bool) "the delta is partial" true
+    (Array.length gd.Graph.snap_slots < gd.Graph.snap_next_slot);
+  (match Engine.of_snapshot genuine with
+   | _ -> Alcotest.fail "a partial capture restored"
+   | exception Invalid_argument _ -> ());
   let forged next_slot =
     { genuine with
-      Engine.delta_graph = { gd with Graph.d_next_slot = next_slot } }
+      Engine.snap_graph = { gd with Graph.snap_next_slot = next_slot } }
   in
   let plant d =
     let name = Snapshot.delta_filename ~seq:20 in
     storage.Storage.remove_file name;
     let w = storage.Storage.open_append name in
-    w.Storage.append (Snapshot.encode_delta ~base_seq:10 ~seq:20 d);
+    w.Storage.append (Snapshot.encode ~base_seq:10 ~seq:20 d);
     w.Storage.sync ();
     w.Storage.close ()
   in
@@ -516,11 +536,11 @@ let test_delta_slot_bound () =
       match Snapshot.load_chain storage with
       | Some (seq, _, applied) ->
         Alcotest.(check int)
-          (Printf.sprintf "d_next_slot %d: full head resolves" next_slot)
+          (Printf.sprintf "snap_next_slot %d: full head resolves" next_slot)
           10 seq;
         Alcotest.(check int) "no delta composed" 0 applied
       | None -> Alcotest.fail "forged delta destroyed the full snapshot")
-    [ base_slots + Array.length gd.Graph.d_slots + 1; 0xFFFF_FFFF ]
+    [ base_slots + Array.length gd.Graph.snap_slots + 1; 0xFFFF_FFFF ]
 
 (* Restart over a full + delta-chain + WAL-tail directory: recovery walks
    the chain, replays exactly the uncovered suffix, and reports how much
@@ -543,7 +563,7 @@ let test_delta_chain_recovery () =
       Wal.flush wal;
       if seq mod 6 = 0 then begin
         (if !last_snap = 0 then Snapshot.write storage ~seq engine
-         else Snapshot.write_delta storage ~base_seq:!last_snap ~seq engine);
+         else Snapshot.write ~base_seq:!last_snap storage ~seq engine);
         Engine.snapshot_written engine;
         last_snap := seq;
         Wal.truncate_before wal ~seq
@@ -595,7 +615,7 @@ let test_delta_torn_write_compaction () =
       let seq = i + 1 in
       if seq mod 8 = 0 then begin
         (if !last_snap = 0 then Snapshot.write storage ~seq engine
-         else Snapshot.write_delta storage ~base_seq:!last_snap ~seq engine);
+         else Snapshot.write ~base_seq:!last_snap storage ~seq engine);
         Engine.snapshot_written engine;
         last_snap := seq
       end)
@@ -605,7 +625,7 @@ let test_delta_torn_write_compaction () =
   let torn = Snapshot.delta_filename ~seq:32 in
   storage.Storage.remove_file torn;
   let w = storage.Storage.open_append torn in
-  w.Storage.append "KSNDtorn";
+  w.Storage.append "KSNPtorn";
   w.Storage.sync ();
   w.Storage.close ();
   let w = storage.Storage.open_append "delta-0000000032.tmp" in
@@ -643,6 +663,100 @@ let test_delta_torn_write_compaction () =
     Alcotest.(check int) "head unchanged by compaction" 24 seq
   | None -> Alcotest.fail "compaction destroyed the chain"
 
+let rot storage name =
+  storage.Storage.remove_file name;
+  let w = storage.Storage.open_append name in
+  w.Storage.append "KSNPbitrot";
+  w.Storage.sync ();
+  w.Storage.close ()
+
+(* Compaction counts only checksum-valid fulls toward [keep]: with the two
+   newest fulls rotted, the one valid full under them is the only
+   recoverable state and must survive. *)
+let test_compact_keeps_valid_full () =
+  let ids, cmds = workload ~seed:47 ~n:12 ~m:30 in
+  let cmds = Array.of_list cmds in
+  Alcotest.(check int) "workload length" 44 (Array.length cmds);
+  let _dir, storage = mem () in
+  let engine = Engine.create () in
+  let reference = Engine.create () in
+  Array.iteri
+    (fun i c ->
+      ignore (Kronos_service.Server.apply engine c);
+      let seq = i + 1 in
+      if seq <= 20 then ignore (Kronos_service.Server.apply reference c);
+      if seq = 20 || seq = 30 || seq = 40 then
+        Snapshot.write storage ~seq engine)
+    cmds;
+  rot storage (Snapshot.filename ~seq:30);
+  rot storage (Snapshot.filename ~seq:40);
+  ignore (Snapshot.compact storage ~keep:2);
+  Alcotest.(check bool) "the valid full survives" true
+    (List.mem (Snapshot.filename ~seq:20) (storage.Storage.list_files ()));
+  match Snapshot.load_chain storage with
+  | Some (seq, restored, _) ->
+    Alcotest.(check int) "recovers the valid full" 20 seq;
+    check_engines_agree "valid full" ids reference restored
+  | None -> Alcotest.fail "compaction removed the only valid full"
+
+(* Compaction writes its manifest before it unlinks anything.  A crash
+   right after the first unlink of a snapshot file — modelled by a
+   [remove_file] that unlinks, then raises — must leave a manifest naming
+   only files that exist, whose head still resolves. *)
+let test_compact_manifest_first () =
+  let _ids, cmds = workload ~seed:53 ~n:12 ~m:24 in
+  let cmds = Array.of_list cmds in
+  let _dir, storage = mem () in
+  let engine = Engine.create () in
+  let snap ?base_seq seq =
+    Snapshot.write ?base_seq storage ~seq engine;
+    Engine.snapshot_written engine
+  in
+  Array.iteri
+    (fun i c ->
+      ignore (Kronos_service.Server.apply engine c);
+      match i + 1 with
+      | 8 -> snap 8
+      | 16 -> snap ~base_seq:8 16
+      | 24 -> snap 24
+      | 32 -> snap ~base_seq:24 32
+      | _ -> ())
+    cmds;
+  let crashed = ref false in
+  let crashing =
+    {
+      storage with
+      Storage.remove_file =
+        (fun n ->
+          storage.Storage.remove_file n;
+          if (not !crashed)
+             && (Filename.check_suffix n ".snap"
+                 || Filename.check_suffix n ".delta")
+          then begin
+            crashed := true;
+            failwith "crash after unlink"
+          end);
+    }
+  in
+  (match Snapshot.compact crashing ~keep:1 with
+   | _ -> Alcotest.fail "compaction removed nothing"
+   | exception Failure _ -> ());
+  Alcotest.(check bool) "crashed mid-compaction" true !crashed;
+  match Snapshot.read_manifest storage with
+  | None -> Alcotest.fail "no manifest before the first unlink"
+  | Some (head, kept) ->
+    let files = storage.Storage.list_files () in
+    List.iter
+      (fun n ->
+        Alcotest.(check bool)
+          (Printf.sprintf "manifest entry %s exists" n)
+          true (List.mem n files))
+      kept;
+    Alcotest.(check int) "manifest head" 32 head;
+    (match Snapshot.load_chain storage with
+     | Some (seq, _, _) -> Alcotest.(check int) "head resolves" head seq
+     | None -> Alcotest.fail "the crash destroyed the chain")
+
 let suites =
   [ ( "durability",
       [
@@ -663,12 +777,15 @@ let suites =
           test_recovery_after_crash_loses_only_unsynced;
         Alcotest.test_case "corrupt head falls back" `Quick
           test_corrupt_head_fallback;
-        Alcotest.test_case "delta round trip" `Quick test_delta_round_trip;
         Alcotest.test_case "delta slot count bounded" `Quick
           test_delta_slot_bound;
         Alcotest.test_case "delta chain recovery" `Quick
           test_delta_chain_recovery;
         Alcotest.test_case "torn delta write + compaction" `Quick
           test_delta_torn_write_compaction;
+        Alcotest.test_case "compaction keeps the newest valid full" `Quick
+          test_compact_keeps_valid_full;
+        Alcotest.test_case "compaction manifest precedes removal" `Quick
+          test_compact_manifest_first;
       ] );
   ]

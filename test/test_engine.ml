@@ -157,7 +157,10 @@ let test_batch_atomicity_mixed () =
     (ok (Engine.query_order t [ (a, c) ]))
 
 let test_stats () =
-  let t = Engine.create () in
+  (* label index off, so the query pays the BFS the stats must count *)
+  let t =
+    Engine.create ~config:{ Engine.default_config with max_chains = 0 } ()
+  in
   let a = Engine.create_event t in
   let b = Engine.create_event t in
   ignore (ok (Engine.assign_order t [ before a b Order.Must ]));

@@ -173,8 +173,9 @@ let test_introspection () =
    single traversal; each positive query then counts every distinct slot
    inserted into a visited set, endpoints included (the destination used to
    be dropped when the search ended in Found), and rank-refuted queries
-   count nothing at all.  The label index is disabled here so the queries
-   actually pay the BFS whose accounting we are asserting. *)
+   count nothing at all.  Edge cycle checks share the query's BFS and its
+   accounting.  The label index is disabled here so the queries actually
+   pay the BFS whose accounting we are asserting. *)
 let test_visited_accounting () =
   let g = Graph.create ~max_chains:0 () in
   let a = Graph.create_event g in
@@ -201,16 +202,22 @@ let test_visited_accounting () =
   Alcotest.(check int) "no extra visits" 5 (Graph.visited_total g);
   Alcotest.(check int) "refuted by rank" (pruned0 + 1)
     (Graph.rank_pruned_count g);
-  (* an out-of-order edge pays one bounded cycle probe plus a relabel *)
+  (* an out-of-order edge relabels; its cycle check is settled by the BFS
+     degree guard (x has no out-edge), so it traverses nothing *)
   let x = Graph.create_event g in
   let y = Graph.create_event g in
   let relabels0 = Graph.rank_relabel_count g in
   Graph.add_edge g y x;
   Alcotest.(check int) "out-of-order edge relabels" (relabels0 + 1)
     (Graph.rank_relabel_count g);
-  Alcotest.(check int) "cycle probe counted as traversal" 3
+  Alcotest.(check int) "guarded cycle check traverses nothing" 2
     (Graph.traversal_count g);
-  Alcotest.(check int) "cycle probe visits its seed" 6
+  (* c -> a closes a cycle, and only the BFS can tell: it counts like the
+     a->c query above *)
+  Alcotest.(check bool) "c->a closes a cycle" false (Graph.try_add_edge g c a);
+  Alcotest.(check int) "cycle check BFS counted as traversal" 3
+    (Graph.traversal_count g);
+  Alcotest.(check int) "cycle check visit accounting" (5 + 3)
     (Graph.visited_total g);
   (match (Graph.rank g y, Graph.rank g x) with
    | Some ry, Some rx ->
@@ -223,12 +230,10 @@ let test_visited_accounting () =
    refcounts and the same strict-GC rule), and after every single step
    check that liveness, GC counts and pairwise reachability agree with the
    model and that rank u < rank v holds for every live edge — through slot
-   reuse, GC cascades, edge rollback and snapshot round-trips (including
-   legacy rank-less snapshots, which force the Kahn rebuild path, and
-   chain-less ones, which force the label rebuild path).  The same program
-   also exercises the chain-label index: whenever [Graph.label_reachable]
-   commits to an answer it must bit-match the model — over-approximation
-   is as much a bug as under-approximation.  Instantiated three times:
+   reuse, GC cascades, edge rollback and snapshot round-trips.  The same
+   program also exercises the chain-label index: whenever
+   [Graph.label_reachable] commits to an answer it must bit-match the
+   model — over-approximation is as much a bug as under-approximation.  Instantiated three times:
    with the default chain cap (labels answer nearly everything), with a
    cap of 2 (constant saturation, so label answers and BFS fallbacks
    interleave) and with the index disabled outright. *)

@@ -189,7 +189,10 @@ let prop_domains_match_reference =
    can, several reader domains chasing the latest view through an atomic
    slot.  Stable facts (edges assigned before the first publish) must
    hold in every view ever observed, and the epochs each reader observes
-   must never go backwards. *)
+   must never go backwards.  Readers publish their check counts, and the
+   writer keeps publishing past its 2,000 steps until every reader has
+   checked at least once (or 10 s pass): with more domains than cores, a
+   reader may otherwise not be scheduled at all before [stop]. *)
 let test_publish_race () =
   let t = Engine.create () in
   let ids = Array.init 8 (fun _ -> Engine.create_event t) in
@@ -198,11 +201,12 @@ let test_publish_race () =
        [ Order.must_before ids.(0) ids.(1); Order.must_before ids.(1) ids.(2) ]);
   let slot = Atomic.make (Engine.publish t) in
   let stop = Atomic.make false in
+  let checks = Array.init 3 (fun _ -> Atomic.make 0) in
   let readers =
-    Array.init 3 (fun _ ->
+    Array.map
+      (fun checks ->
         Domain.spawn (fun () ->
             let last = ref 0L in
-            let checks = ref 0 in
             let ok = ref true in
             while not (Atomic.get stop) do
               let v = Atomic.get slot in
@@ -212,13 +216,14 @@ let test_publish_race () =
               (match View.query v ids.(0) ids.(2) with
               | Ok Order.Before -> ()
               | _ -> ok := false);
-              incr checks
+              Atomic.incr checks
             done;
-            (!ok, !checks)))
+            !ok))
+      checks
   in
   (* Writer: keep growing and publishing. *)
   let extra = ref [] in
-  for i = 1 to 2_000 do
+  let step i =
     let e = Engine.create_event t in
     extra := e :: !extra;
     (match !extra with
@@ -227,13 +232,26 @@ let test_publish_race () =
     if i mod 50 = 0 then
       match !extra with e :: _ -> ignore (Engine.release_ref t e) | [] -> ();
     Atomic.set slot (Engine.publish t)
+  in
+  for i = 1 to 2_000 do
+    step i
+  done;
+  let deadline = Unix.gettimeofday () +. 10. in
+  let i = ref 2_000 in
+  while
+    Array.exists (fun c -> Atomic.get c = 0) checks
+    && Unix.gettimeofday () < deadline
+  do
+    incr i;
+    step !i
   done;
   Atomic.set stop true;
-  Array.iter
-    (fun d ->
-      let ok, checks = Domain.join d in
+  Array.iteri
+    (fun i d ->
+      let ok = Domain.join d in
       Alcotest.(check bool) "reader saw consistent views" true ok;
-      Alcotest.(check bool) "reader made progress" true (checks > 0))
+      Alcotest.(check bool) "reader made progress" true
+        (Atomic.get checks.(i) > 0))
     readers
 
 let suites =
